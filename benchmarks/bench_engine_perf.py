@@ -289,12 +289,12 @@ def _backend_sweep_scenarios():
 
 
 def test_perf_backend_serial(benchmark):
-    from repro.exp import GridRunner, SerialBackend
+    from repro.exp import GridRunner, make_backend
 
     scenarios = _backend_sweep_scenarios()
 
     def sweep():
-        with GridRunner(backend=SerialBackend()) as runner:
+        with GridRunner(backend=make_backend("serial")) as runner:
             return runner.run(scenarios)
 
     results = benchmark.pedantic(sweep, rounds=2, iterations=1)
@@ -302,12 +302,12 @@ def test_perf_backend_serial(benchmark):
 
 
 def test_perf_backend_pool(benchmark):
-    from repro.exp import GridRunner, ProcessPoolBackend
+    from repro.exp import GridRunner, make_backend
 
     scenarios = _backend_sweep_scenarios()
 
     def sweep():
-        with GridRunner(backend=ProcessPoolBackend(2)) as runner:
+        with GridRunner(backend=make_backend("pool", workers=2)) as runner:
             return runner.run(scenarios)
 
     results = benchmark.pedantic(sweep, rounds=2, iterations=1)
@@ -342,12 +342,12 @@ def _cap_sweep_cells():
 
 
 def test_perf_cap_sweep_serial(benchmark):
-    from repro.exp import GridRunner, SerialBackend
+    from repro.exp import GridRunner, make_backend
 
     cells = _cap_sweep_cells()
 
     def sweep():
-        with GridRunner(backend=SerialBackend()) as runner:
+        with GridRunner(backend=make_backend("serial")) as runner:
             return runner.run(cells)
 
     results = benchmark.pedantic(sweep, rounds=2, iterations=1)
@@ -378,7 +378,7 @@ def test_perf_cap_sweep_warm(benchmark, tmp_path):
         DirectoryCheckpointStore,
         GridRunner,
         MemoryStore,
-        SerialBackend,
+        make_backend,
     )
 
     cells = _cap_sweep_cells()
@@ -390,7 +390,7 @@ def test_perf_cap_sweep_warm(benchmark, tmp_path):
 
     def sweep():
         with GridRunner(
-            backend=SerialBackend(),
+            backend=make_backend("serial"),
             store=MemoryStore(),
             checkpoints=DirectoryCheckpointStore(ck_root),
         ) as runner:

@@ -18,7 +18,7 @@ Two checks, both against the PR 10 acceptance bar:
 2. **Batch-pool ratio** (from the committed baseline): the recorded
    single-core batch-pool multigroup mean must sit within
    ``--max-pool-ratio`` (default 1.05) of the in-process batch
-   multigroup floor — the compact-envelope dispatch path may not cost
+   multigroup floor — the batch-pool dispatch may not cost
    more than 5% over running the same groups in process.  Wall-clock
    means on a shared CI runner are noisy, so the gate holds the
    *committed* record and the live run's ratio is reported

@@ -223,10 +223,12 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", default=None,
                    choices=["serial", "pool", "batch", "batch-pool"],
                    help="execution backend (default: pool when --workers > 1, "
-                        "serial otherwise; batch replays same-platform "
-                        "scenarios in lockstep; batch-pool dispatches whole "
-                        "lockstep groups to --workers pool workers, ordered "
-                        "by the calibrated cost model)")
+                        "serial otherwise): serial and batch run in-process, "
+                        "pool and batch-pool on --workers worker processes "
+                        "(in-process with --workers 1), ordered by the "
+                        "calibrated cost model; the batch names replay "
+                        "same-platform scenarios that differ only in caps "
+                        "as one lockstep group")
     p.add_argument("--shard", default=None, metavar="K/N",
                    help="run only the deterministic shard K of N of the "
                         "scenario set (1-based, e.g. 2/3); independent jobs "
@@ -637,8 +639,7 @@ def _print_sweep_plan(args: argparse.Namespace, scenarios: list) -> int:
         print(f"(+ {singles} singleton cell(s) on the solo task path)")
     from repro.exp import shm
 
-    for line in shm.envelope_report(deduped, multi):
-        print(line)
+    print(shm.status_line())
     return 0
 
 

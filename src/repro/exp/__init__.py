@@ -6,13 +6,11 @@ The subsystem behind ``repro exp run/list/compare``:
   with stable content-hash identity, plus deterministic shard
   selection (:mod:`repro.exp.spec`);
 * :class:`ExecutionBackend` — where scenarios execute: in-process
-  (:class:`SerialBackend`), a ``multiprocessing`` pool
-  (:class:`ProcessPoolBackend`), same-platform scenarios replayed in
-  lockstep (:class:`BatchBackend`), whole lockstep groups fanned out
-  onto pool workers under a calibrated LPT cost model
-  (:class:`BatchPoolBackend`, :mod:`repro.exp.costmodel`), or one
-  shard of a split sweep (:class:`ShardedBackend`)
-  (:mod:`repro.exp.backends`);
+  (:class:`BatchBackend`) or on a ``multiprocessing`` pool under a
+  calibrated LPT cost model (:class:`PoolBackend`,
+  :mod:`repro.exp.costmodel`), cell by cell or in lockstep groups of
+  same-platform scenarios, or one shard of a split sweep
+  (:class:`ShardedBackend`) (:mod:`repro.exp.backends`);
 * :class:`ResultStore` — where results persist: an in-memory memo
   (:class:`MemoryStore`), a local JSON/``.npz`` directory
   (:class:`DirectoryStore`), or a shared directory safe for
@@ -46,10 +44,8 @@ from repro.exp.spec import (
 )
 from repro.exp.backends import (
     BatchBackend,
-    BatchPoolBackend,
     ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
+    PoolBackend,
     ShardedBackend,
     make_backend,
 )
@@ -130,7 +126,6 @@ from repro.exp.shm import (
     SharedArena,
     ShmPayload,
     ShmView,
-    SpecShipper,
     TransferTally,
     set_shm_enabled,
     shm_available,
@@ -144,10 +139,8 @@ __all__ = [
     "shard_index",
     "shard_scenarios",
     "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
     "BatchBackend",
-    "BatchPoolBackend",
+    "PoolBackend",
     "ShardedBackend",
     "make_backend",
     "CostModel",
@@ -192,7 +185,6 @@ __all__ = [
     "SharedArena",
     "ShmPayload",
     "ShmView",
-    "SpecShipper",
     "TransferTally",
     "set_shm_enabled",
     "shm_available",

@@ -1,39 +1,37 @@
-"""Execution backends: pluggable engines behind the experiment harness.
+"""Execution backends: where the deduped scenarios of a sweep run.
 
-An :class:`ExecutionBackend` answers two questions for the
-:class:`~repro.exp.runner.GridRunner`:
+Two executors share one contract, ``run_scenarios``: split the
+scenarios into **units** — a lockstep group of two or more cells (same
+cap-free content, same platform; see :meth:`BatchBackend.group_key`)
+when grouping is on, else one cell — run every unit, and yield
+``(index, outcome, retries)`` triples, where the outcome is the cell's
+:class:`~repro.exp.runner.RunResult` (``(RunResult, series)`` with
+series) or a :class:`~repro.exp.resilience.TaskFailure`.
 
-* **ownership** — :meth:`ExecutionBackend.owns` says whether this
-  backend instance is responsible for a given scenario (keyed by its
-  content hash).  Full backends own everything; a
-  :class:`ShardedBackend` owns the deterministic ``1/n`` slice assigned
-  to its shard, which is how one grid splits across independent
-  machines or CI jobs without any coordination;
-* **execution** — :meth:`ExecutionBackend.map` runs the work function
-  over the owned scenarios and yields results in input order, and
-  :meth:`ExecutionBackend.map_tasks` is its **fault-tolerant** form:
-  per-item retries under a :class:`~repro.exp.resilience.RetryPolicy`,
-  per-item timeouts, and in-band
-  :class:`~repro.exp.resilience.TaskFailure` outcomes instead of a
-  sweep-aborting exception.
+* :class:`BatchBackend` runs the units in this process: a group
+  through the lockstep replay :func:`repro.exp.runner._run_group_task`
+  also uses, a cell through :func:`repro.exp.runner.run_scenario` with
+  in-process retries.
+* :class:`PoolBackend` runs every unit on a worker of a
+  :class:`concurrent.futures.ProcessPoolExecutor` as
+  :func:`~repro.exp.runner._run_group_task` or
+  :func:`~repro.exp.runner._run_task`, in cost-model LPT order, and
+  **survives worker death**: a crashed worker breaks the executor,
+  which is respawned; in-flight cells are requeued and crash
+  attribution is settled by re-running the suspects one at a time, so
+  a poison scenario is charged (and eventually quarantined) while
+  innocent bystanders are not.  A unit that outlives its timeout is
+  presumed hung: the workers are killed, the pool respawned, the
+  offender charged.  A group is never retried as a group: any failure
+  degrades it into solo units in the same queue, where the per-cell
+  rules above attribute it exactly.
 
-Every backend executes the identical work function on the identical
-scenario specs, so *which* backend ran a scenario can never change the
-result — the golden trace digests pin this bit-for-bit.
-
-:class:`ProcessPoolBackend` runs on a
-:class:`concurrent.futures.ProcessPoolExecutor` and **survives worker
-death**: a crashed worker (segfault, OOM kill, injected ``os._exit``)
-breaks the executor, which is then respawned; in-flight scenarios are
-requeued, and crash attribution is settled by re-running the suspects
-one at a time — so a poison scenario is charged (and eventually
-quarantined) while innocent bystanders of the same pool break are
-not.  A scenario that outlives its per-item timeout is presumed hung:
-its workers are killed, the pool respawned, the offender charged.
-Its :meth:`close` is idempotent — including after a pool break — and
-live pools are additionally terminated by one ``atexit`` hook, never
-by ``__del__``, whose GC timing at interpreter shutdown used to race
-the pool teardown and leak resource warnings.
+The four CLI names are the four (grouped?, parallel?) corners:
+``serial`` and ``batch`` run in-process, ``pool`` and ``batch-pool``
+on ``workers`` processes (:func:`make_backend`).  :class:`ShardedBackend`
+filters the scenarios a backend owns.  Every unit replays the
+identical scenario specs, so *which* backend ran a scenario can never
+change the result — the golden trace digests pin this bit-for-bit.
 """
 
 from __future__ import annotations
@@ -44,13 +42,10 @@ import time
 import warnings
 import weakref
 from collections import deque
-from dataclasses import replace
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Sequence
-
-import os
+from typing import Any, Collection, Iterator, Sequence
 
 from repro.exp import faults as _faults
 from repro.exp import shm as _shm
@@ -64,22 +59,6 @@ from repro.exp.spec import Scenario, parse_shard, shard_index
 from repro.exp.store import DEFAULT_SERIES_DT
 
 
-def _task_label(item: Any) -> str:
-    """Stable per-item label for backoff jitter and diagnostics."""
-    hasher = getattr(item, "scenario_hash", None)
-    if callable(hasher):
-        return hasher()
-    return repr(item)
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 class ExecutionBackend:
     """Duck-typed protocol of a harness execution backend."""
 
@@ -91,48 +70,12 @@ class ExecutionBackend:
         hash.  Full backends own everything; sharded ones a slice."""
         return True
 
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Any]:
-        """Apply ``fn`` to every item, yielding results in input order."""
-        raise NotImplementedError
-
-    def map_tasks(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[Any],
-        *,
-        retry: RetryPolicy | None = None,
-        timeout: float | None = None,
+    def run_scenarios(
+        self, scenarios: Sequence[Scenario], **kwargs: Any
     ) -> Iterator[TaskOutcome]:
-        """Fault-tolerant :meth:`map`: yields ``(index, outcome,
-        retries)`` triples, in no particular order.
-
-        ``fn`` must accept an ``attempt`` keyword (1-based execution
-        count) — that is how deterministic fault plans and retry
-        accounting see *which* execution this is.  The outcome is
-        ``fn``'s return value, or a
-        :class:`~repro.exp.resilience.TaskFailure` once the retry
-        budget is exhausted (or immediately, for errors the policy
-        classifies as fatal).  ``timeout`` bounds one attempt's wall
-        clock where the backend can enforce it (the process pool can;
-        in-process backends cannot preempt a running replay and treat
-        an injected hang as an ordinary timeout failure).
-
-        The default implementation runs in-process, one item at a
-        time, through :func:`~repro.exp.resilience.run_with_retry`.
-        """
-        for i, item in enumerate(items):
-            outcome, retries = run_with_retry(
-                partial(self._call_attempt, fn, item),
-                label=_task_label(item),
-                retry=retry,
-            )
-            yield i, outcome, retries
-
-    @staticmethod
-    def _call_attempt(fn: Callable[..., Any], item: Any, attempt: int) -> Any:
-        return fn(item, attempt=attempt)
+        """Execute ``scenarios`` (deduped by the runner); yields
+        ``(index, outcome, retries)`` triples in no particular order."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release resources; must be idempotent."""
@@ -144,19 +87,168 @@ class ExecutionBackend:
         self.close()
 
 
-class SerialBackend(ExecutionBackend):
-    """In-process, one scenario at a time — the reference executor."""
+def _units(
+    scenarios: Sequence[Scenario], grouped: bool, solo: Collection[int] = ()
+) -> list[tuple[int, ...]]:
+    """Index tuples of the execution units in first-appearance order:
+    lockstep groups (singletons included) when ``grouped``, single
+    cells otherwise.  Cells in ``solo`` always form units of one."""
+    if not grouped:
+        return [(i,) for i in range(len(scenarios))]
+    groups: dict[Any, list[int]] = {}
+    for i, sc in enumerate(scenarios):
+        groups.setdefault(i if i in solo else BatchBackend.group_key(sc), []).append(i)
+    return [tuple(idxs) for idxs in groups.values()]
 
-    name = "serial"
 
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Any]:
-        return (fn(item) for item in items)
+def _group_stats(units: Sequence[tuple[int, ...]]) -> dict[str, Any]:
+    """The :attr:`SweepReport.groups` skeleton of a grouped run."""
+    multi = [u for u in units if len(u) > 1]
+    return {
+        "n_groups": len(multi),
+        "n_batched_cells": sum(len(u) for u in multi),
+        "n_singletons": len(units) - len(multi),
+        "n_degraded_groups": 0,
+        "groups": {},
+    }
+
+
+def _note_group(
+    group_stats: dict | None, base: Scenario, n_cells: int, timings: dict
+) -> None:
+    """Record one finished lockstep group under its cap-free hash."""
+    if group_stats is not None:
+        group_stats["groups"][base.with_(caps=()).scenario_hash()] = {
+            "cells": n_cells,
+            "elapsed_seconds": timings.get("elapsed", 0.0),
+            "warm": bool(timings.get("warm")),
+            "fork_t": timings.get("fork_t", 0.0),
+        }
+
+
+class BatchBackend(ExecutionBackend):
+    """The in-process executor: ``batch`` when grouped, ``serial`` not.
+
+    Grouped, scenarios that differ only in their cap windows — the
+    shape of a powercap sweep — replay as one lockstep group through
+    :func:`repro.sim.batch.run_replay_batch`: one scenario-major
+    node-state matrix, a shared event horizon, and a checkpointed
+    warm-start of the pre-window prefix.  Results are bit-identical to
+    independent replays — the golden digests pin this.
+
+    **Graceful degradation**: a cell with an armed fault plan entry is
+    kept out of its group (its faults fire on the solo path, where
+    they are retryable/quarantinable), and a lockstep replay that
+    raises degrades every cell of its group to solo re-runs — one bad
+    cell can cost its group the lockstep speedup, never their results.
+    """
+
+    def __init__(self, grouped: bool = True) -> None:
+        self.grouped = bool(grouped)
+
+    @property
+    def name(self) -> str:
+        return "batch" if self.grouped else "serial"
+
+    @staticmethod
+    def group_key(scenario: Scenario) -> tuple[str, str]:
+        """Batching key: everything but the caps, platform by content."""
+        from repro.platform import get_platform
+
+        return (
+            scenario.with_(caps=()).scenario_hash(),
+            get_platform(scenario.platform).content_hash(),
+        )
+
+    def run_scenarios(
+        self,
+        scenarios: Sequence[Scenario],
+        *,
+        series: bool = False,
+        grid_dt: float = DEFAULT_SERIES_DT,
+        retry: RetryPolicy | None = None,
+        timeout: float | None = None,
+        checkpoints: Any = None,
+        tally: Any = None,
+        profile_dir: str | None = None,
+        cost_model: Any = None,
+        group_stats: dict | None = None,
+        transfer: Any = None,
+    ) -> Iterator[TaskOutcome]:
+        """Execute ``scenarios`` unit by unit in this process.
+
+        ``checkpoints``/``tally`` thread the runner's warm-start store
+        through every unit — a group of one still reuses (and seeds)
+        the shared prefix — and the runner's tally is mutated directly.
+        ``timeout`` cannot be enforced in-process (nothing preempts a
+        running replay from inside its own process), so a grouped run
+        warns and points at ``batch-pool``.  ``cost_model`` and
+        ``transfer`` are accepted for parity with :class:`PoolBackend`:
+        in-process order cannot change the makespan, and nothing
+        crosses a process boundary.
+        """
+        from repro.exp import runner
+
+        if timeout is not None and self.grouped:
+            warnings.warn(
+                "the in-process batch backend cannot enforce per-scenario "
+                "timeouts (a running replay cannot be preempted from its "
+                "own process); the timeout is ignored — use "
+                "--backend batch-pool to run lockstep groups under the "
+                "pool's hung-worker kill path",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        plan = _faults.active_plan()
+        faulty = {
+            i
+            for i, sc in enumerate(scenarios)
+            if plan is not None and plan.fault_for(sc.scenario_hash()) is not None
+        }
+        units = _units(scenarios, self.grouped, faulty)
+        if self.grouped and group_stats is not None:
+            group_stats.update(_group_stats(units))
+        for unit in units:
+            cells = [scenarios[i] for i in unit]
+            if len(unit) > 1:
+                try:
+                    timings, payloads = runner._replay_group(
+                        cells,
+                        series=series,
+                        grid_dt=grid_dt,
+                        checkpoints=checkpoints,
+                        tally=tally,
+                        profile_dir=profile_dir,
+                    )
+                except Exception:  # noqa: BLE001 - degrade, don't lose the group
+                    # The failure has no single owner yet; solo re-runs
+                    # attribute (and retry) it exactly.
+                    if group_stats is not None:
+                        group_stats["n_degraded_groups"] += 1
+                else:
+                    _note_group(group_stats, cells[0], len(unit), timings)
+                    for i, payload in zip(unit, payloads):
+                        yield i, payload, 0
+                    continue
+            for i, sc in zip(unit, cells):
+                outcome, retries = run_with_retry(
+                    partial(
+                        runner._replay_cell,
+                        sc,
+                        series=series,
+                        grid_dt=grid_dt,
+                        checkpoints=checkpoints,
+                        tally=tally,
+                        profile_dir=profile_dir,
+                    ),
+                    label=sc.scenario_hash(),
+                    retry=retry,
+                )
+                yield i, outcome, retries
 
 
 #: pools that must not survive interpreter shutdown (see _atexit_reap)
-_LIVE_POOL_BACKENDS: "weakref.WeakSet[ProcessPoolBackend]" = weakref.WeakSet()
+_LIVE_POOL_BACKENDS: "weakref.WeakSet[PoolBackend]" = weakref.WeakSet()
 _REAPER_REGISTERED = False
 
 
@@ -167,9 +259,7 @@ def _atexit_reap() -> None:  # pragma: no cover - interpreter shutdown
     GC time, which could fire after multiprocessing's own machinery was
     torn down and spray ResourceWarnings).  ``terminate`` rather than
     ``close``: an abandoned pool's workers may be mid-task (or hung),
-    and exit must not wait on them.  Tolerates pools that a
-    ``BrokenProcessPool`` already tore down — a broken executor's
-    shutdown is a no-op, not an error.
+    and exit must not wait on them.
     """
     for backend in list(_LIVE_POOL_BACKENDS):
         try:
@@ -178,47 +268,45 @@ def _atexit_reap() -> None:  # pragma: no cover - interpreter shutdown
             pass  # shutdown noise must never mask the real exit status
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Process-pool execution that survives worker death.
+class PoolBackend(ExecutionBackend):
+    """The pool executor: ``batch-pool`` when grouped, ``pool`` not.
 
     Parameters
     ----------
     workers:
-        Process count; ``None`` or ``<= 1`` degrades to serial
-        execution in-process (no pool is ever created).
+        Process count.  Every unit runs on a worker, even with one
+        worker or one unit, so ``timeout`` is always enforceable and a
+        crash never reaches the driver.
+    grouped:
+        Dispatch lockstep groups whole (:func:`_run_group_task`) instead
+        of one cell per task.
     mp_context:
         Start method; default picks ``fork`` where available (cheap,
         and harmless here: workers rebuild every scenario from its
         spec, so inherited state cannot leak into results) and
         ``spawn`` elsewhere.
-    persistent:
-        Keep the pool alive between :meth:`map` calls (fork once,
-        stream scenarios).  Workers then retain their per-process
-        machine/workload memos, so iterative sweeps stop paying a pool
-        spin-up plus cold caches per batch.  Off by default: a
-        persistent pool outlives ``map()``, so callers must release it
-        via :meth:`close` or a ``with`` block (an ``atexit`` hook
-        terminates leaked ones).
+
+    The pool lives for one :meth:`run_scenarios` call; :meth:`close`
+    is idempotent, and leaked pools are terminated by one ``atexit``
+    hook, never by ``__del__``.
     """
 
-    name = "pool"
-
-    #: poll interval of the resilient loop (timeout checks), seconds
+    #: poll interval of the dispatch loop (timeout checks), seconds
     _TICK = 0.25
 
     def __init__(
         self,
         workers: int | None = None,
         *,
+        grouped: bool = False,
         mp_context: str | None = None,
-        persistent: bool = False,
     ) -> None:
-        self.workers = int(workers) if workers is not None else 1
+        self.workers = max(1, int(workers) if workers is not None else 1)
+        self.grouped = bool(grouped)
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else "spawn"
         self.mp_context = mp_context
-        self.persistent = bool(persistent)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_size = 0
         #: pool respawns forced by worker death or hung-task kills
@@ -229,62 +317,35 @@ class ProcessPoolBackend(ExecutionBackend):
         self._shm_prefix = _shm.new_prefix()
 
     @property
-    def transport_prefix(self) -> str | None:
-        """The shm data plane's segment prefix — ``None`` when no
-        process boundary is in play (``workers <= 1`` runs tasks
-        in-process, where descriptors would only add a copy)."""
-        return self._shm_prefix if self.workers > 1 else None
+    def name(self) -> str:
+        return "batch-pool" if self.grouped else "pool"
 
-    @property
-    def supports_spec_cache(self) -> bool:
-        """Whether hash-only spec envelopes are worth shipping.
-
-        Restricted to the ``fork`` start method: forked workers
-        inherit the driver's seeded content-addressed caches, so
-        hash-only references hit from the first task.  ``spawn``
-        workers start cold — every first reference would bounce
-        through the miss protocol, costing a round-trip per worker —
-        so they keep full envelopes.
-        """
-        return self.workers > 1 and self.mp_context == "fork"
-
-    def _get_pool(self, n_tasks: int) -> ProcessPoolExecutor:
-        """The persistent pool, sized ``min(workers, n_tasks)``.
-
-        An existing pool is reused when it is big enough; a larger
-        batch grows it (workers are re-forked, a one-off cost).
-        """
+    def _get_pool(self, n: int) -> ProcessPoolExecutor:
+        """The live pool, created with ``min(workers, n)`` processes."""
         global _REAPER_REGISTERED
-        n = min(self.workers, max(n_tasks, 1))
-        if self._pool is not None and self._pool_size < n:
-            self.close()
         if self._pool is None:
+            self._pool_size = min(self.workers, max(n, 1))
             ctx = multiprocessing.get_context(self.mp_context)
-            self._pool = ProcessPoolExecutor(max_workers=n, mp_context=ctx)
-            self._pool_size = n
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._pool_size, mp_context=ctx
+            )
             _LIVE_POOL_BACKENDS.add(self)
             if not _REAPER_REGISTERED:
                 atexit.register(_atexit_reap)
                 _REAPER_REGISTERED = True
         return self._pool
 
-    @staticmethod
-    def _kill_workers(pool: ProcessPoolExecutor) -> None:
-        """Hard-stop a pool's worker processes (hung or orphaned)."""
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already-dead workers
-                pass
-
     def _shutdown(self, *, terminate: bool) -> None:
         pool, self._pool = self._pool, None
-        self._pool_size = 0
         _LIVE_POOL_BACKENDS.discard(self)
         if pool is not None:
             if terminate:
                 procs = list(getattr(pool, "_processes", {}).values())
-                self._kill_workers(pool)
+                for proc in procs:
+                    try:
+                        proc.terminate()
+                    except Exception:  # pragma: no cover - already dead
+                        pass
                 pool.shutdown(wait=False, cancel_futures=True)
                 for proc in procs:
                     # Bounded join: reaping below must not race a
@@ -297,145 +358,153 @@ class ProcessPoolBackend(ExecutionBackend):
                 pool.shutdown(wait=True, cancel_futures=False)
         # The workers are dead (or joined, or never existed): any
         # segment still carrying this backend's prefix was placed by a
-        # worker whose descriptor never reached the driver — reclaim
-        # it now rather than leak it until reboot.  Unconditional: the
-        # respawn contract is "this prefix is clean before the fresh
-        # pool forks", whatever state the old pool was in.
+        # worker whose descriptor never reached the driver — reclaim it
+        # now rather than leak it until reboot.
         _shm.reap_prefix(self._shm_prefix)
 
-    def _respawn(self, n_tasks: int) -> ProcessPoolExecutor:
-        """Replace a broken/hung pool with a fresh one, requeue-ready.
-
-        Part of the crash-cleanup contract: ``_shutdown`` reaps shm
-        segments orphaned by the killed workers before the fresh pool
-        forks, so a worker dying mid-write can never leak a segment
-        past its pool's lifetime."""
+    def _respawn(self, n: int) -> None:
+        """Replace a broken/hung pool with a fresh one.  ``_shutdown``
+        reaps the killed workers' orphaned shm segments before the
+        fresh pool forks."""
         self.n_respawns += 1
         self._shutdown(terminate=True)
-        return self._get_pool(n_tasks)
+        self._get_pool(n)
 
     def close(self) -> None:
         """Shut the pool down; safe to call any number of times, and
-        safe after a ``BrokenProcessPool`` already killed the workers
-        (a broken executor's ``shutdown`` is a no-op)."""
+        after a ``BrokenProcessPool`` already killed the workers."""
         self._shutdown(terminate=False)
 
-    # -- plain map --------------------------------------------------------------------
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Any]:
-        items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
-            # Nothing to parallelise: skip the pool entirely (and its
-            # per-item pickling) — results are identical either way.
-            return (fn(item) for item in items)
-        if self.persistent:
-            return self._stream(self._get_pool(len(items)), fn, items)
-        return self._oneshot_map(fn, items)
-
-    def _stream(
+    def run_scenarios(
         self,
-        pool: ProcessPoolExecutor,
-        fn: Callable[[Any], Any],
-        items: list[Any],
+        scenarios: Sequence[Scenario],
         *,
-        owned: bool = False,
-    ) -> Iterator[Any]:
-        try:
-            futures = [pool.submit(fn, item) for item in items]
-            for fut in futures:
-                yield fut.result()
-        except BrokenProcessPool:
-            # The pool is dead; discard it so the backend stays usable
-            # (the next map() forks a fresh pool) and close() stays an
-            # idempotent no-op instead of tripping over the corpse.
-            if pool is self._pool:
-                self._shutdown(terminate=True)
-            raise
-        finally:
-            if owned:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _oneshot_map(
-        self, fn: Callable[[Any], Any], items: list[Any]
-    ) -> Iterator[Any]:
-        ctx = multiprocessing.get_context(self.mp_context)
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.workers, len(items)), mp_context=ctx
-        )
-        return self._stream(pool, fn, items, owned=True)
-
-    # -- resilient map ----------------------------------------------------------------
-
-    def map_tasks(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[Any],
-        *,
+        series: bool = False,
+        grid_dt: float = DEFAULT_SERIES_DT,
         retry: RetryPolicy | None = None,
         timeout: float | None = None,
+        checkpoints: Any = None,
+        tally: Any = None,
+        profile_dir: str | None = None,
+        cost_model: Any = None,
+        group_stats: dict | None = None,
+        transfer: Any = None,
     ) -> Iterator[TaskOutcome]:
-        items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
-            yield from super().map_tasks(fn, items, retry=retry, timeout=timeout)
-            return
-        yield from self._resilient_map(
-            fn, items, retry if retry is not None else RetryPolicy(max_attempts=1),
-            timeout,
-        )
+        """The crash-surviving dispatch loop over every unit.
 
-    def _resilient_map(
-        self,
-        fn: Callable[..., Any],
-        items: list[Any],
-        policy: RetryPolicy,
-        timeout: float | None,
-    ) -> Iterator[TaskOutcome]:
-        """The crash-surviving scheduler loop.
-
-        State per item: ``execs`` (how many times it actually started
-        executing — the ``attempt`` number fault plans key on) and
-        ``charges`` (failures attributed to *it*, judged against the
-        retry budget).  The two differ exactly when a pool break kills
-        innocent bystanders: those are re-executed without being
-        charged.
-
-        Attribution protocol on a pool break: every in-flight scenario
-        is a suspect, and suspects are re-run **solo** (one in flight
-        at a time).  A solo crash has exactly one suspect, which is
-        charged; after ``max_attempts`` charges the poison scenario is
-        failed (``kind="crash"``) instead of the sweep.  Timeouts need
-        no such protocol — the expired future identifies its owner —
-        so only the offender is charged while other in-flight items
-        requeue unpenalised.
+        State per unit: ``execs`` (how many times it started — the
+        ``attempt`` number fault plans key on) and ``charges``
+        (failures attributed to *it*, judged against the retry
+        budget); the two differ exactly when a pool break kills
+        innocent bystanders, which re-execute uncharged.  On a pool
+        break a lone solo suspect is charged (``kind="crash"``), other
+        solo suspects re-run isolated (one in flight at a time) and
+        suspect groups degrade.  On a timeout — a group's budget is
+        ``timeout`` times its cell count — only the offender is
+        charged (or degraded); the other in-flight units requeue.
         """
-        n = len(items)
-        execs = [0] * n
-        charges = [0] * n
-        retries = [0] * n
-        # (index, ready_at) queues: wide runs through `pending`,
-        # attribution runs through `solo` (drained one at a time).
-        pending: deque[tuple[int, float]] = deque((i, 0.0) for i in range(n))
-        solo: deque[tuple[int, float]] = deque()
-        inflight: dict[Any, tuple[int, float]] = {}  # future -> (index, started)
-        tick = self._TICK if timeout is None else max(0.01, min(self._TICK, timeout / 5))
-        self._get_pool(n)  # sets _pool_size, which bounds the window below
+        from repro.exp import runner
+        from repro.exp.costmodel import CostModel, assign_workers
+        from repro.platform import get_platform
 
-        def submit(index: int) -> None:
-            pool = self._get_pool(n)
-            execs[index] += 1
-            fut = pool.submit(partial(fn, attempt=execs[index]), items[index])
-            inflight[fut] = (index, time.monotonic())
+        policy = retry if retry is not None else RetryPolicy(max_attempts=1)
+        if transfer is None:
+            transfer = _shm.TransferTally()
+        plan = _faults.active_plan()
+        specs = {
+            name: get_platform(name).to_dict()
+            for name in dict.fromkeys(sc.platform for sc in scenarios)
+        }
+        common = dict(
+            series=series,
+            grid_dt=grid_dt,
+            faults=plan.to_dict() if plan is not None else None,
+            checkpoints=checkpoints,
+            profile_dir=profile_dir,
+            shm_prefix=self._shm_prefix if series else None,
+        )
+        # LPT order: heavy units first, so the makespan approaches
+        # total/workers.  The worker column is the placement the
+        # estimate predicts; dispatch stays dynamic, so a wrong
+        # estimate costs order, never correctness.
+        model = cost_model if cost_model is not None else CostModel()
+        placed = assign_workers(
+            [
+                model.estimate_group(scenarios, u)
+                for u in _units(scenarios, self.grouped)
+            ],
+            self.workers,
+        )
+        units = [est.indices for est, _ in placed]
+        if self.grouped and group_stats is not None:
+            group_stats.update(_group_stats(units))
+            group_stats["plan"] = [
+                {
+                    "group": est.group,
+                    "label": est.label,
+                    "cells": est.n_cells,
+                    "est_seconds": est.seconds,
+                    "source": est.source,
+                    "worker": w,
+                }
+                for est, w in placed
+                if est.n_cells > 1
+            ]
+        execs = [0] * len(units)
+        charges = [0] * len(units)
+        retries = [0] * len(units)
+        # (unit, ready_at) queues: wide dispatch runs through
+        # `pending`, crash attribution through `isolate`.
+        pending = deque((u, 0.0) for u in range(len(units)))
+        isolate: deque[tuple[int, float]] = deque()
+        inflight: dict[Any, tuple[int, float]] = {}  # future -> (unit, started)
+        tick = self._TICK
+        if timeout is not None:
+            tick = max(0.01, min(tick, timeout / 5))
+        # Degraded groups become cells, so no more than one process per
+        # cell can ever be busy.
+        n_procs = len(scenarios)
 
-        def charge(index: int, exc: BaseException | None, kind: str) -> TaskFailure | None:
-            """Attribute one failure; requeue to ``queue`` or fail."""
-            charges[index] += 1
+        def submit(u: int) -> None:
+            execs[u] += 1
+            cells = [scenarios[i] for i in units[u]]
+            if len(cells) > 1:
+                fn, item = runner._run_group_task, _shm.GroupEnvelope.pack(cells)
+            else:
+                fn, item = runner._run_task, cells[0]
+            names = dict.fromkeys(sc.platform for sc in cells)
+            task = partial(
+                fn,
+                platforms=tuple(specs[name] for name in names),
+                attempt=execs[u],
+                **common,
+            )
+            # Charge what actually crosses the pipe.
+            transfer.note_envelope((task, item))
+            inflight[self._get_pool(n_procs).submit(task, item)] = (u, time.monotonic())
+
+        def degrade(u: int) -> None:
+            """A group is never retried as a group: its cells requeue
+            as fresh solo units."""
+            if group_stats is not None:
+                group_stats["n_degraded_groups"] += 1
+            for i in units[u]:
+                units.append((i,))
+                execs.append(0)
+                charges.append(0)
+                retries.append(0)
+                pending.append((len(units) - 1, 0.0))
+
+        def charge(u: int, exc: BaseException | None, kind: str) -> TaskFailure | None:
+            """Attribute one failure to solo unit ``u``: requeue it
+            isolated after its backoff, or fail it for good."""
+            charges[u] += 1
             retryable = exc is None or policy.is_retryable(exc)
-            if retryable and charges[index] < policy.max_attempts:
-                retries[index] += 1
-                delay = policy.backoff(_task_label(items[index]), charges[index])
-                solo.append((index, time.monotonic() + delay))
+            if retryable and charges[u] < policy.max_attempts:
+                retries[u] += 1
+                label = scenarios[units[u][0]].scenario_hash()
+                delay = policy.backoff(label, charges[u])
+                isolate.append((u, time.monotonic() + delay))
                 return None
             return TaskFailure(
                 kind=kind,
@@ -444,14 +513,22 @@ class ProcessPoolBackend(ExecutionBackend):
                     str(exc)
                     if exc is not None
                     else f"worker died executing this scenario "
-                    f"({charges[index]} attempt(s))"
+                    f"({charges[u]} attempt(s))"
                     if kind == "crash"
                     else f"scenario exceeded its {timeout:g}s timeout "
-                    f"({charges[index]} attempt(s))"
+                    f"({charges[u]} attempt(s))"
                 ),
-                attempts=charges[index],
+                attempts=charges[u],
                 exception=exc,
             )
+
+        def fail(u: int, exc: BaseException | None, kind: str) -> Iterator[TaskOutcome]:
+            if len(units[u]) > 1:
+                degrade(u)
+                return
+            failure = charge(u, exc, kind)
+            if failure is not None:
+                yield units[u][0], failure, retries[u]
 
         def ready(queue: deque[tuple[int, float]]) -> int | None:
             if queue and queue[0][1] <= time.monotonic():
@@ -459,24 +536,23 @@ class ProcessPoolBackend(ExecutionBackend):
             return None
 
         try:
-            while pending or solo or inflight:
-                # Fill the pool: solo mode (suspects awaiting
-                # attribution) admits one in-flight item at a time and
-                # starves the wide queue until the suspects are clear.
-                if solo:
+            if units:
+                self._get_pool(n_procs)
+            while pending or isolate or inflight:
+                if isolate:
                     if not inflight:
-                        index = ready(solo)
-                        if index is not None:
-                            submit(index)
+                        u = ready(isolate)
+                        if u is not None:
+                            submit(u)
                 else:
                     while len(inflight) < self._pool_size:
-                        index = ready(pending)
-                        if index is None:
+                        u = ready(pending)
+                        if u is None:
                             break
-                        submit(index)
+                        submit(u)
                 if not inflight:
                     # Backoff gap: nothing running, nothing ready yet.
-                    queue = solo if solo else pending
+                    queue = isolate or pending
                     time.sleep(
                         max(0.0, min(queue[0][1] - time.monotonic(), tick))
                         if queue
@@ -484,684 +560,73 @@ class ProcessPoolBackend(ExecutionBackend):
                     )
                     continue
 
-                done, _ = wait(
-                    set(inflight), timeout=tick, return_when=FIRST_COMPLETED
-                )
-                broken = False
+                done, _ = wait(set(inflight), timeout=tick, return_when=FIRST_COMPLETED)
+                suspects: list[int] | None = None
                 for fut in done:
-                    index, _started = inflight.pop(fut)
+                    u, _started = inflight.pop(fut)
                     try:
-                        result = fut.result()
+                        tally_dict, timings, payloads = fut.result()
                     except BrokenProcessPool:
-                        broken = True
-                        suspects = [index] + [i for i, _ in inflight.values()]
+                        suspects = [u] + [v for v, _ in inflight.values()]
                         inflight.clear()
                         break
                     except Exception as exc:  # noqa: BLE001 - classified by policy
-                        failure = charge(index, exc, "error")
-                        if failure is not None:
-                            yield index, failure, retries[index]
-                    else:
-                        yield index, result, retries[index]
+                        yield from fail(u, exc, "error")
+                        continue
+                    if tally is not None and tally_dict:
+                        tally.add(tally_dict)
+                    xfer = timings.pop("xfer", None)
+                    if xfer:
+                        transfer.add(xfer)
+                    if len(units[u]) > 1:
+                        _note_group(
+                            group_stats, scenarios[units[u][0]], len(units[u]), timings
+                        )
+                    for i, payload in zip(units[u], payloads):
+                        yield i, payload, retries[u]
 
-                if broken:
-                    self._respawn(n)
+                if suspects is not None:
+                    self._respawn(n_procs)
                     if len(suspects) == 1:
-                        # Definite attribution: the lone in-flight
-                        # scenario killed its worker.
-                        failure = charge(suspects[0], None, "crash")
-                        if failure is not None:
-                            yield suspects[0], failure, retries[suspects[0]]
-                    else:
-                        # Ambiguous: isolate the suspects, uncharged
-                        # (the re-execution still counts as a retry in
-                        # the report's accounting).
-                        for i in suspects:
-                            retries[i] += 1
-                            solo.append((i, 0.0))
+                        # Definite attribution: the lone in-flight unit
+                        # killed its worker.
+                        yield from fail(suspects[0], None, "crash")
+                        continue
+                    for v in suspects:
+                        if len(units[v]) > 1:
+                            degrade(v)
+                        else:
+                            # Ambiguous: isolate, uncharged (the re-run
+                            # still counts as a retry in the report).
+                            retries[v] += 1
+                            isolate.append((v, 0.0))
                     continue
 
-                if timeout is not None and inflight:
-                    now = time.monotonic()
-                    expired = [
-                        (fut, idx)
-                        for fut, (idx, started) in inflight.items()
-                        if now - started > timeout and not fut.done()
-                    ]
-                    if expired:
-                        # Presumed hung: kill the whole pool (a single
-                        # worker cannot be detached), requeue the
-                        # innocent in-flight scenarios unpenalised,
-                        # charge the offenders.
-                        offender_ids = {idx for _, idx in expired}
-                        innocents = [
-                            idx
-                            for _, (idx, _s) in inflight.items()
-                            if idx not in offender_ids
-                        ]
-                        inflight.clear()
-                        self._respawn(n)
-                        for idx in innocents:
-                            retries[idx] += 1
-                            pending.appendleft((idx, 0.0))
-                        for idx in offender_ids:
-                            failure = charge(idx, None, "timeout")
-                            if failure is not None:
-                                yield idx, failure, retries[idx]
-        finally:
-            if not self.persistent:
-                self.close()
-
-
-class BatchBackend(ExecutionBackend):
-    """Vectorised lockstep execution of same-platform scenario groups.
-
-    Scenarios that differ only in their cap windows — the shape of a
-    powercap sweep — share one machine, one workload and one policy;
-    this backend groups them by their cap-free content (scenario hash
-    with ``caps`` stripped, plus the registered platform's content
-    hash) and replays each multi-cell group through
-    :func:`repro.sim.batch.run_replay_batch`: one process, one
-    scenario-major node-state matrix, a shared event horizon, and a
-    checkpointed warm-start of the pre-window prefix where the
-    divergence analysis allows it.  Singleton groups take the ordinary
-    serial path.  Results are bit-identical to any other backend —
-    the golden digests pin this.
-
-    **Graceful degradation**: a faulting cell falls out of the
-    lockstep batch and re-runs solo, siblings unaffected.  A cell with
-    an armed fault plan entry is excluded up front (its faults fire on
-    the solo path, where they are retryable/quarantinable); a batch
-    replay that raises degrades every cell of that group to solo
-    re-runs — one bad cell can cost its group the lockstep speedup,
-    never their results.
-    """
-
-    name = "batch"
-    #: GridRunner seam: hand this backend the scenario list itself
-    #: (:meth:`run_scenarios`) instead of an opaque work function
-    wants_scenarios = True
-    #: one timeout warning per backend instance (class default keeps
-    #: the no-__init__ construction shape)
-    _warned_timeout = False
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Any]:
-        """Opaque work functions cannot be batched: run them serially."""
-        return (fn(item) for item in items)
-
-    @staticmethod
-    def group_key(scenario: "Scenario") -> tuple[str, str]:
-        """Batching key: everything but the caps, platform by content."""
-        from repro.platform import get_platform
-
-        return (
-            scenario.with_(caps=()).scenario_hash(),
-            get_platform(scenario.platform).content_hash(),
-        )
-
-    def run_scenarios(
-        self,
-        scenarios: Sequence["Scenario"],
-        *,
-        series: bool = False,
-        grid_dt: float = DEFAULT_SERIES_DT,
-        retry: RetryPolicy | None = None,
-        timeout: float | None = None,
-        checkpoints: Any = None,
-        tally: Any = None,
-        profile_dir: str | None = None,
-        cost_model: Any = None,
-        group_stats: dict | None = None,
-        shipper: Any = None,
-        transfer: Any = None,
-        shm_prefix: str | None = None,
-    ) -> Iterator[TaskOutcome]:
-        """Execute ``scenarios`` (already deduped by the runner),
-        yielding ``(index, outcome, retries)`` triples shaped exactly
-        like :meth:`ExecutionBackend.map_tasks` — outcomes are
-        :func:`repro.exp.runner._run_task`-shaped payloads or
-        :class:`~repro.exp.resilience.TaskFailure`.  ``timeout``
-        cannot be enforced in-process (nothing can preempt a running
-        replay from inside its own process), so requesting one warns
-        once and points at ``--backend batch-pool``, where the pool's
-        hung-worker kill path makes it real.
-
-        ``checkpoints``/``tally`` thread the runner's warm-start store
-        through **every** execution path: lockstep groups pass a
-        :class:`~repro.exp.checkpoints.WarmStart` into the batch replay,
-        while singleton groups, fault-planned cells, and degraded solo
-        re-runs probe/publish through the serial path — a group of one
-        still reuses (and seeds) the shared prefix instead of silently
-        running cold.  Everything runs in-process, so the runner's
-        tally object is mutated directly.
-
-        ``cost_model`` is accepted for signature parity with the
-        batch×pool composition (serial group order cannot change the
-        makespan); ``group_stats``, when given, is filled with the
-        per-group accounting :attr:`SweepReport.groups` reports.
-        ``shipper``/``transfer``/``shm_prefix`` — the data plane's
-        seams — are likewise parity-only: nothing crosses a process
-        boundary here, so there is nothing to compact or account."""
-        from repro.exp.checkpoints import WarmStart, checkpoint_group
-        from repro.exp.runner import (
-            _condense,
-            _jobs_for,
-            _machine_for,
-            run_scenario,
-            run_scenario_with_series,
-        )
-        from repro.platform import get_platform
-        from repro.sim.batch import run_replay_batch
-
-        scenarios = list(scenarios)
-        plan = _faults.active_plan()
-        if timeout is not None and not self._warned_timeout:
-            self._warned_timeout = True
-            warnings.warn(
-                "the in-process batch backend cannot enforce per-scenario "
-                "timeouts (a running replay cannot be preempted from its "
-                "own process); the timeout is ignored — use "
-                "--backend batch-pool to run lockstep groups under the "
-                "pool's hung-worker kill path",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-        def run_solo(index: int) -> TaskOutcome:
-            sc = scenarios[index]
-
-            def one_attempt(attempt: int) -> Any:
-                if series:
-                    return run_scenario_with_series(
-                        sc,
-                        grid_dt=grid_dt,
-                        attempt=attempt,
-                        checkpoints=checkpoints,
-                        tally=tally,
-                        profile_dir=profile_dir,
-                    )
-                return run_scenario(
-                    sc,
-                    attempt=attempt,
-                    checkpoints=checkpoints,
-                    tally=tally,
-                    profile_dir=profile_dir,
-                )
-
-            outcome, n_retries = run_with_retry(
-                one_attempt, label=sc.scenario_hash(), retry=retry
-            )
-            return index, outcome, n_retries
-
-        groups: dict[tuple[str, str], list[int]] = {}
-        n_fault_solo = 0
-        for i, sc in enumerate(scenarios):
-            if plan is not None and plan.fault_for(sc.scenario_hash()) is not None:
-                # A cell with a planned fault falls out of its lockstep
-                # group: its faults fire (and are retried/quarantined)
-                # on the solo path, siblings batch unaffected.
-                n_fault_solo += 1
-                yield run_solo(i)
-                continue
-            groups.setdefault(self.group_key(sc), []).append(i)
-
-        multi = [idxs for idxs in groups.values() if len(idxs) > 1]
-        if group_stats is not None:
-            group_stats.update(
-                n_groups=len(multi),
-                n_batched_cells=sum(len(idxs) for idxs in multi),
-                n_singletons=sum(
-                    1 for idxs in groups.values() if len(idxs) == 1
-                ),
-                n_fault_solo=n_fault_solo,
-                n_degraded_groups=0,
-                groups={},
-            )
-
-        for (capfree_hash, platform_hash), idxs in groups.items():
-            if len(idxs) == 1:
-                yield run_solo(idxs[0])
-                continue
-            t0 = time.perf_counter()
-            base = scenarios[idxs[0]]
-            timings: dict[str, float] = {}
-            prof = None
-            try:
-                platform = get_platform(base.platform)
-                machine = _machine_for(base.platform, platform_hash, base.scale)
-                jobs = _jobs_for(
-                    base.platform,
-                    platform_hash,
-                    base.interval,
-                    base.effective_seed,
-                    base.effective_duration,
-                    base.overload,
-                    base.scale,
-                )
-                warm = (
-                    WarmStart(checkpoints, checkpoint_group(base), tally)
-                    if checkpoints is not None
-                    else None
-                )
-                if profile_dir is not None:
-                    import cProfile
-
-                    prof = cProfile.Profile()
-                    prof.enable()
-                replays = run_replay_batch(
-                    machine,
-                    jobs,
-                    base.build_policy(machine),
-                    duration=base.effective_duration,
-                    caps_per_cell=[
-                        scenarios[i].build_caps(machine) for i in idxs
-                    ],
-                    config=base.build_config(),
-                    platform=platform,
-                    warm_start=warm,
-                    timings=timings,
-                )
-            except Exception:  # noqa: BLE001 - degrade, don't lose the group
-                # The lockstep replay itself failed: degrade every cell
-                # of this group to an independent solo re-run.  The
-                # failure cannot be attributed to one cell from here;
-                # solo execution attributes (and retries) it exactly.
-                if prof is not None:
-                    prof.disable()
-                if group_stats is not None:
-                    group_stats["n_degraded_groups"] += 1
-                for i in idxs:
-                    yield run_solo(i)
-                continue
-            if prof is not None:
-                prof.disable()
-                from pathlib import Path
-
-                out = Path(profile_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                prof.dump_stats(out / f"batch-{capfree_hash}.pstats")
-            # Each cell's wall clock reports its share of the batch, so
-            # aggregate wall sums stay comparable across backends; the
-            # group's full elapsed rides on every cell.
-            t_end = time.perf_counter()
-            elapsed = t_end - t0
-            share_t0 = t_end - elapsed / len(idxs)
-            if group_stats is not None:
-                group_stats["groups"][capfree_hash] = {
-                    "cells": len(idxs),
-                    "elapsed_seconds": elapsed,
-                    "warm": bool(timings.get("warm")),
-                    "fork_t": timings.get("fork_t", 0.0),
-                }
-            for i, replay in zip(idxs, replays):
-                result = replace(
-                    _condense(scenarios[i], replay, share_t0),
-                    elapsed_seconds=elapsed,
-                )
-                if series:
-                    grid = dict(
-                        replay.recorder.to_grid(0.0, replay.duration, grid_dt)
-                    )
-                    yield i, (result, grid), 0
-                else:
-                    yield i, result, 0
-
-
-class BatchPoolBackend(ProcessPoolBackend):
-    """Batch×pool composition: whole lockstep groups on pool workers.
-
-    Groups scenarios exactly like :class:`BatchBackend` (cap-free
-    scenario hash + platform content hash), then dispatches each
-    multi-cell group to a :class:`ProcessPoolBackend` worker as one
-    work item (:func:`repro.exp.runner._run_group_task`): the worker
-    replays the group in lockstep and returns the condensed per-cell
-    outcomes, so the PR 6 lockstep win multiplies by the worker count
-    instead of serialising on one core.  Singleton groups ride the
-    ordinary solo task path (the parent's resilient ``map_tasks``).
-
-    Dispatch order is **longest-processing-time-first** under the
-    calibrated cost model (:mod:`repro.exp.costmodel`): heavy groups
-    go out first so the sweep's makespan approaches ``total/workers``
-    instead of idling every worker behind whichever group lands last.
-
-    **Fault semantics** (the PR 7 state machine at group granularity):
-    a group is single-shot — any failure *degrades* it, it is never
-    retried as a group.  A worker exception degrades the group's cells
-    to solo re-runs; a dead worker (``BrokenProcessPool``) degrades
-    every in-flight group; a group outliving its budget — the
-    per-scenario ``timeout`` × its cell count, since one group does
-    that many cells of work — has its workers killed and degrades,
-    which finally makes ``timeout`` enforceable for batch execution.
-    Degraded cells re-run through the solo path with its full
-    retry/attribution machinery, so one bad cell costs its group the
-    lockstep speedup, never their results.  Unlike the in-process
-    batch backend, cells with planned faults are *not* pre-excluded
-    from their group: their faults fire inside a pool worker (where a
-    crash kills a worker, not the driver), exercising exactly this
-    degradation path.
-
-    **Warm starts** compose structurally: a lockstep group and a
-    checkpoint group are the same partition (both key on the cap-free
-    scenario content plus platform/policy), so each group's worker is
-    its own publisher election of one — the donor cell publishes the
-    shared cap-free prefix, and any later run of the same key (this
-    sweep's degraded solos, the next sweep's groups) restores it.
-    Only shareable checkpoint stores reach workers; the runner
-    already withholds in-memory stores from pool backends.
-    """
-
-    name = "batch-pool"
-    wants_scenarios = True
-
-    def run_scenarios(
-        self,
-        scenarios: Sequence["Scenario"],
-        *,
-        series: bool = False,
-        grid_dt: float = DEFAULT_SERIES_DT,
-        retry: RetryPolicy | None = None,
-        timeout: float | None = None,
-        checkpoints: Any = None,
-        tally: Any = None,
-        profile_dir: str | None = None,
-        cost_model: Any = None,
-        group_stats: dict | None = None,
-        shipper: Any = None,
-        transfer: Any = None,
-        shm_prefix: str | None = None,
-    ) -> Iterator[TaskOutcome]:
-        """Execute ``scenarios``; yields ``map_tasks``-shaped triples.
-
-        With one worker there is nothing to compose: execution
-        delegates to an in-process :class:`BatchBackend` (bit-identical
-        results, no pool).
-
-        The data plane threads through both dispatch paths: group
-        envelopes ship compact (:class:`~repro.exp.shm.GroupEnvelope`
-        — base spec once, then scenario hashes plus cap deltas) when
-        ``shipper`` allows it, a worker's spec-cache miss requeues the
-        same group with a full envelope exactly once (uncharged — no
-        replay ran), series payloads ride shm segments named under
-        ``shm_prefix``, and per-group transfer tallies are harvested
-        from the in-band ``timings`` dict into ``transfer``.
-        """
-        scenarios = list(scenarios)
-        if self.workers <= 1:
-            yield from BatchBackend().run_scenarios(
-                scenarios,
-                series=series,
-                grid_dt=grid_dt,
-                retry=retry,
-                timeout=timeout,
-                checkpoints=checkpoints,
-                tally=tally,
-                profile_dir=profile_dir,
-                cost_model=cost_model,
-                group_stats=group_stats,
-            )
-            return
-
-        from repro.exp.costmodel import CostModel, assign_workers
-        from repro.exp.runner import (
-            _run_group_task,
-            _run_task,
-        )
-
-        plan = _faults.active_plan()
-        faults_dict = plan.to_dict() if plan is not None else None
-        if shipper is None:
-            shipper = _shm.SpecShipper(compact=False)
-        model = cost_model if cost_model is not None else CostModel()
-
-        groups: dict[tuple[str, str], list[int]] = {}
-        for i, sc in enumerate(scenarios):
-            groups.setdefault(BatchBackend.group_key(sc), []).append(i)
-        solo_idx = [idxs[0] for idxs in groups.values() if len(idxs) == 1]
-        multi = [idxs for idxs in groups.values() if len(idxs) > 1]
-
-        # LPT plan: heavy groups dispatch first.  The worker column is
-        # the greedy placement the estimate predicts — dispatch itself
-        # stays dynamic (whichever worker frees up takes the next
-        # group), so a wrong estimate costs order, never correctness.
-        placed = assign_workers(
-            [model.estimate_group(scenarios, idxs) for idxs in multi],
-            self.workers,
-        )
-        if group_stats is not None:
-            group_stats.update(
-                n_groups=len(multi),
-                n_batched_cells=sum(len(idxs) for idxs in multi),
-                n_singletons=len(solo_idx),
-                n_fault_solo=sum(
-                    1
-                    for i in solo_idx
-                    if plan is not None
-                    and plan.fault_for(scenarios[i].scenario_hash()) is not None
-                ),
-                n_degraded_groups=0,
-                plan=[
-                    {
-                        "group": est.group,
-                        "label": est.label,
-                        "cells": est.n_cells,
-                        "est_seconds": est.seconds,
-                        "source": est.source,
-                        "worker": w,
-                    }
-                    for est, w in placed
-                ],
-                groups={},
-            )
-
-        def note_degraded(n: int = 1) -> None:
-            if group_stats is not None:
-                group_stats["n_degraded_groups"] += n
-
-        if transfer is None:
-            transfer = _shm.TransferTally()
-        # Group dispatch never benefits from more workers than CPUs:
-        # forking the surplus costs start-up and memory for zero
-        # parallelism, and fewer in-flight groups keeps degradation
-        # attribution tighter.  (Solo/`map_tasks` dispatch is not
-        # capped — its per-cell timeout machinery wants the requested
-        # width.)
-        cap = max(1, min(self.workers, _available_cpus()))
-
-        def group_payload(est: Any, full: bool) -> Any:
-            """The group's wire form: full scenario tuple, or a
-            compact envelope once the base spec has shipped."""
-            cells = tuple(scenarios[i] for i in est.indices)
-            if not shipper.compact or full:
-                return cells
-            base = cells[0].with_(caps=())
-            group_hash = base.scenario_hash()
-            return _shm.GroupEnvelope(
-                group=group_hash,
-                base=shipper.group_base(base, group_hash),
-                cells=tuple((sc.name, sc.caps) for sc in cells),
-                hashes=tuple(sc.scenario_hash() for sc in cells),
-            )
-
-        degraded: list[int] = []
-        queue = deque((est, False) for est, _ in placed)
-        # future -> (est, started, full-envelope?)
-        inflight: dict[Any, tuple[Any, float, bool]] = {}
-        tick = (
-            self._TICK
-            if timeout is None
-            else max(0.01, min(self._TICK, timeout / 5))
-        )
-        group_task = partial(
-            _run_group_task,
-            series=series,
-            grid_dt=grid_dt,
-            faults=faults_dict,
-            checkpoints=checkpoints,
-            profile_dir=profile_dir,
-            shm_prefix=shm_prefix,
-        )
-
-        try:
-            if queue:
-                self._get_pool(min(len(queue), cap))
-            while queue or inflight:
-                while queue and len(inflight) < min(self._pool_size, cap):
-                    est, full = queue.popleft()
-                    cells = tuple(scenarios[i] for i in est.indices)
-                    env = group_payload(est, full)
-                    task = partial(
-                        group_task,
-                        platforms=shipper.platform_payload(cells, full=full),
-                    )
-                    transfer.note_envelope((task, env))
-                    fut = self._get_pool(min(len(queue) + 1, cap)).submit(
-                        task, env
-                    )
-                    inflight[fut] = (est, time.monotonic(), full)
-                done, _ = wait(
-                    set(inflight), timeout=tick, return_when=FIRST_COMPLETED
-                )
-                broken = False
-                for fut in done:
-                    est, _started, was_full = inflight.pop(fut)
-                    try:
-                        res = fut.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        suspects = [est] + [
-                            e for e, _s, _f in inflight.values()
-                        ]
-                        inflight.clear()
-                        break
-                    except Exception:  # noqa: BLE001 - degrade, don't lose the group
-                        # The group replay raised in its worker.  As in
-                        # the in-process batch backend the failure has
-                        # no single owner yet; solo re-runs attribute
-                        # (and retry) it exactly.
-                        note_degraded()
-                        degraded.extend(est.indices)
-                    else:
-                        if _shm.is_spec_miss(res):
-                            # The worker's spec cache could not resolve
-                            # the compact envelope (cold fork, LRU
-                            # eviction).  Nothing ran: requeue the same
-                            # group with full specs, uncharged.  A full
-                            # envelope cannot miss — if one somehow
-                            # does, degrade rather than loop.
-                            transfer.spec_misses += len(res[1])
-                            shipper.invalidate(res[1])
-                            if was_full:
-                                note_degraded()
-                                degraded.extend(est.indices)
-                            else:
-                                queue.appendleft((est, True))
-                            continue
-                        tally_dict, timings, payloads = res
-                        if len(payloads) != len(est.indices):
-                            # Defensive: a malformed worker reply must
-                            # not silently drop cells.
-                            note_degraded()
-                            degraded.extend(est.indices)
-                            continue
-                        if tally is not None and tally_dict:
-                            tally.add(tally_dict)
-                        xfer_dict = timings.pop("xfer", None)
-                        if xfer_dict:
-                            transfer.add(xfer_dict)
-                        if group_stats is not None:
-                            group_stats["groups"][est.group] = {
-                                "cells": est.n_cells,
-                                "elapsed_seconds": timings.get("elapsed", 0.0),
-                                "warm": bool(timings.get("warm")),
-                                "fork_t": timings.get("fork_t", 0.0),
-                            }
-                        for i, item in zip(est.indices, payloads):
-                            yield i, item, 0
-                if broken:
-                    # A dead worker takes its whole group; with several
-                    # groups in flight attribution is ambiguous, and a
-                    # group is never re-run as a group — every suspect
-                    # degrades to solo, where crash attribution is
-                    # per-cell and exact.
-                    self._respawn(min(max(len(queue), 1), cap))
-                    note_degraded(len(suspects))
-                    for est in suspects:
-                        degraded.extend(est.indices)
-                    continue
                 if timeout is not None and inflight:
                     now = time.monotonic()
                     expired = {
                         fut
-                        for fut, (est, started, _f) in inflight.items()
-                        if now - started > timeout * est.n_cells
-                        and not fut.done()
+                        for fut, (u, started) in inflight.items()
+                        if now - started > timeout * len(units[u]) and not fut.done()
                     }
                     if expired:
-                        # Presumed hung: kill the pool, requeue the
-                        # innocent in-flight groups unpenalised (still
-                        # as groups, keeping their envelope form), and
-                        # degrade the offenders to solo — where the
-                        # per-cell timeout charges the real culprit.
+                        # Presumed hung: kill the whole pool (a single
+                        # worker cannot be detached), requeue the
+                        # innocent in-flight units, charge the offenders.
                         innocents = [
-                            (est, f)
-                            for fut, (est, _s, f) in inflight.items()
-                            if fut not in expired
+                            u for fut, (u, _s) in inflight.items() if fut not in expired
                         ]
                         offenders = [inflight[fut][0] for fut in expired]
                         inflight.clear()
-                        self._respawn(
-                            min(len(queue) + len(innocents) + 1, cap)
-                        )
-                        for entry in reversed(innocents):
-                            queue.appendleft(entry)
-                        note_degraded(len(offenders))
-                        for est in offenders:
-                            degraded.extend(est.indices)
-
-            solo_all = sorted(set(solo_idx) | set(degraded))
-            if solo_all:
-                subset = [scenarios[i] for i in solo_all]
-
-                def solo_task(full: bool) -> Callable[..., Any]:
-                    return partial(
-                        _run_task,
-                        platforms=shipper.platform_payload(
-                            subset, full=full
-                        ),
-                        series=series,
-                        grid_dt=grid_dt,
-                        faults=faults_dict,
-                        checkpoints=checkpoints,
-                        profile_dir=profile_dir,
-                        shm_prefix=shm_prefix,
-                    )
-
-                # The runner leaves spec misses to scenario-aware
-                # backends (it cannot re-dispatch what it did not
-                # dispatch), so solo misses are answered here: one
-                # full-spec redo, after which a further sentinel
-                # surfaces as a loud failure upstream.
-                redo: list[int] = []
-                for local, outcome, retries in super().map_tasks(
-                    solo_task(False), subset, retry=retry, timeout=timeout
-                ):
-                    if _shm.is_spec_miss(outcome):
-                        transfer.spec_misses += len(outcome[1])
-                        shipper.invalidate(outcome[1])
-                        redo.append(local)
-                        continue
-                    yield solo_all[local], outcome, retries
-                if redo:
-                    resubset = [subset[i] for i in redo]
-                    for local, outcome, retries in super().map_tasks(
-                        solo_task(True), resubset, retry=retry, timeout=timeout
-                    ):
-                        yield solo_all[redo[local]], outcome, retries
+                        self._respawn(n_procs)
+                        for u in reversed(innocents):
+                            if len(units[u]) == 1:
+                                retries[u] += 1
+                            pending.appendleft((u, 0.0))
+                        for u in offenders:
+                            yield from fail(u, None, "timeout")
         finally:
-            if not self.persistent:
-                self.close()
+            self.close()
 
 
 class ShardedBackend(ExecutionBackend):
@@ -1173,8 +638,7 @@ class ShardedBackend(ExecutionBackend):
     partition without talking to each other, duplicates of one
     scenario always land in one shard, and the union of all shards is
     exactly the full grid.  Execution of the owned slice is delegated
-    to ``inner`` (serial by default, a process pool for wide shards),
-    including the fault-tolerant :meth:`map_tasks` path.
+    to ``inner`` (in-process serial by default).
     """
 
     def __init__(
@@ -1190,43 +654,16 @@ class ShardedBackend(ExecutionBackend):
             raise ValueError(f"shard index {index} outside 0..{count - 1}")
         self.index = int(index)
         self.count = int(count)
-        self.inner = inner if inner is not None else SerialBackend()
+        self.inner = inner if inner is not None else BatchBackend(grouped=False)
         self.name = f"shard {index + 1}/{count} on {self.inner.name}"
 
     def owns(self, scenario_hash: str) -> bool:
         return shard_index(scenario_hash, self.count) == self.index
 
-    @property
-    def wants_scenarios(self) -> bool:
-        """Forward the batch seam when the inner backend offers it."""
-        return bool(getattr(self.inner, "wants_scenarios", False))
-
-    @property
-    def transport_prefix(self) -> str | None:
-        """Forward the shm seam: the inner pool's segment prefix."""
-        return getattr(self.inner, "transport_prefix", None)
-
-    @property
-    def supports_spec_cache(self) -> bool:
-        return bool(getattr(self.inner, "supports_spec_cache", False))
-
-    def run_scenarios(self, scenarios: Sequence["Scenario"], **kwargs: Any):
-        return self.inner.run_scenarios(scenarios, **kwargs)
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Iterator[Any]:
-        return self.inner.map(fn, items)
-
-    def map_tasks(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[Any],
-        *,
-        retry: RetryPolicy | None = None,
-        timeout: float | None = None,
+    def run_scenarios(
+        self, scenarios: Sequence[Scenario], **kwargs: Any
     ) -> Iterator[TaskOutcome]:
-        return self.inner.map_tasks(fn, items, retry=retry, timeout=timeout)
+        return self.inner.run_scenarios(scenarios, **kwargs)
 
     def close(self) -> None:
         self.inner.close()
@@ -1241,38 +678,31 @@ def make_backend(
     *,
     workers: int | None = None,
     mp_context: str | None = None,
-    persistent: bool = False,
     shard: str | tuple[int, int] | None = None,
 ) -> ExecutionBackend:
     """Build a backend from CLI-style arguments.
 
     ``name`` is ``serial``, ``pool``, ``batch`` or ``batch-pool``
     (``None`` picks ``pool`` when ``workers > 1``, ``serial``
-    otherwise).  ``batch-pool`` composes both parallel axes: lockstep
-    groups dispatched whole onto pool workers, LPT-ordered by the
-    calibrated cost model.  ``shard`` — ``"k/n"`` or a ``(index,
-    count)`` pair — wraps the result in a :class:`ShardedBackend`
-    owning that slice.
+    otherwise): the ``batch`` names group lockstep cells, the ``pool``
+    names run on ``workers`` processes — in-process when ``workers <=
+    1``.  ``shard`` — ``"k/n"`` or an ``(index, count)`` pair — wraps
+    the result in a :class:`ShardedBackend` owning that slice.
     """
     n_workers = int(workers) if workers is not None else 1
     if name is None:
         name = "pool" if n_workers > 1 else "serial"
-    if name == "serial":
-        base: ExecutionBackend = SerialBackend()
-    elif name == "pool":
-        base = ProcessPoolBackend(
-            n_workers, mp_context=mp_context, persistent=persistent
-        )
-    elif name == "batch":
-        base = BatchBackend()
-    elif name == "batch-pool":
-        base = BatchPoolBackend(
-            n_workers, mp_context=mp_context, persistent=persistent
-        )
-    else:
+    if name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
         )
+    grouped = name.startswith("batch")
+    if name.endswith("pool") and n_workers > 1:
+        base: ExecutionBackend = PoolBackend(
+            n_workers, grouped=grouped, mp_context=mp_context
+        )
+    else:
+        base = BatchBackend(grouped=grouped)
     if shard is None:
         return base
     index, total = parse_shard(shard) if isinstance(shard, str) else shard

@@ -56,6 +56,7 @@ import re
 import socket
 import time
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
@@ -63,7 +64,6 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.exp import shm as _shm
 from repro.exp.store import TRANSIENT_ERRNOS, StoreHealth, _prune_files
 from repro.sim.batch import FORK_STATE_VERSION
 
@@ -103,6 +103,48 @@ def horizon_tag(horizon: float) -> str:
 
 def checkpoint_key(group: str, horizon: float) -> str:
     return f"{group}-{horizon_tag(horizon)}"
+
+
+class LRUCache:
+    """Bounded LRU keyed by content hash.
+
+    Content addressing makes entries immortal-if-present: two values
+    under one key are bit-identical by construction, so there is no
+    invalidation protocol — only capacity eviction.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = int(maxsize)
+        self._data: OrderedDict = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        try:
+            self._data.move_to_end(key)
+        except KeyError:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return self._data[key]
+
+    def put(self, key, value) -> None:
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def clear(self) -> None:
+        self._data.clear()
+        self.hits = self.misses = 0
+
+
+#: per-process memo of loaded checkpoint fork states by (root, key) —
+#: fork states are multi-MB array dicts, so the bound stays tight
+FORK_STATE_CACHE = LRUCache(maxsize=4)
 
 
 @dataclass
@@ -158,14 +200,6 @@ class CheckpointStore:
 
     def keys(self) -> list[str]:
         raise NotImplementedError
-
-    def has_group(self, group: str) -> bool:
-        """Whether *any* horizon of ``group`` is stored — the question
-        publisher election asks (a group with an entry warm-starts; one
-        without elects a publisher).  Key-prefix scan by default;
-        stores with a cheaper index may override."""
-        prefix = f"{group}-h"
-        return any(k.startswith(prefix) for k in self.keys())
 
     def prune(
         self,
@@ -324,7 +358,7 @@ class DirectoryCheckpointStore(CheckpointStore):
         # that changed the bytes falls through to the real loader,
         # which detects corruption loudly.  Hits still bump the
         # atime so LRU pruning sees cached readers.
-        cached = _shm.FORK_STATE_CACHE.get((str(self.root), key))
+        cached = FORK_STATE_CACHE.get((str(self.root), key))
         if cached is not None and self._npz_sig(key) == cached["sig"]:
             self._touch(jpath)
             return {"meta": dict(cached["meta"]), "arrays": dict(cached["arrays"])}
@@ -359,7 +393,7 @@ class DirectoryCheckpointStore(CheckpointStore):
         # reads them), sparing repeat warm starts the .npz decompress.
         for arr in arrays.values():
             arr.setflags(write=False)
-        _shm.FORK_STATE_CACHE.put(
+        FORK_STATE_CACHE.put(
             (str(self.root), key),
             {"meta": meta, "arrays": arrays, "sig": self._npz_sig(key)},
         )

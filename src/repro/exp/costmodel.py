@@ -1,10 +1,10 @@
 """Group-level cost model: calibrated estimates + LPT scheduling.
 
-The batch×pool composition (:class:`repro.exp.backends.BatchPoolBackend`)
-dispatches whole lockstep groups to pool workers.  Its makespan is
-gated by whichever group lands *last*, so dispatch order matters: a
-heavy group submitted at the end idles every other worker while it
-finishes alone.  This module estimates each group's cost and orders
+The pool executor (:class:`repro.exp.backends.PoolBackend`)
+dispatches lockstep groups and single cells to pool workers.  Its
+makespan is gated by whichever unit lands *last*, so dispatch order
+matters: a heavy unit submitted at the end idles every other worker
+while it finishes alone.  This module estimates each unit's cost and orders
 dispatch longest-processing-time-first (LPT) — the classic greedy
 bound of makespan ``<= (4/3 - 1/3m) * OPT`` — so the sweep approaches
 ``total/workers`` instead of ``total/workers + heaviest``.

@@ -218,15 +218,15 @@ class SweepReport:
     #: (see :class:`repro.exp.checkpoints.CheckpointTally`); empty when
     #: no store was in play or no cell was fork-eligible
     checkpoints: dict[str, int] = field(default_factory=dict)
-    #: lockstep-group accounting when a scenario-aware backend ran
+    #: lockstep-group accounting when a grouped backend ran
     #: (batch / batch-pool): group/singleton counts, degradations, the
     #: LPT dispatch plan (batch-pool), and per-group elapsed/warm stats
     #: keyed by cap-free scenario hash; empty otherwise
     groups: dict[str, Any] = field(default_factory=dict)
     #: data-plane accounting when a pool backend ran (see
     #: :class:`repro.exp.shm.TransferTally`): bytes shipped through
-    #: pickle vs shared through shm segments, spec-cache hits/misses,
-    #: pickle fallbacks; empty for in-process execution
+    #: pickle vs shared through shm segments, pickle fallbacks; empty
+    #: for in-process execution
     transfer: dict[str, int] = field(default_factory=dict)
 
     @property

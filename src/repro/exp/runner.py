@@ -26,20 +26,20 @@ import hashlib
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
-
-from functools import lru_cache, partial
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.analysis.report import window_norms
 from repro.exp import faults as _faults
 from repro.exp.backends import (
+    BatchBackend,
     ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
+    PoolBackend,
     ShardedBackend,
 )
 from repro.exp.checkpoints import (
@@ -336,35 +336,28 @@ def scenario_series(scenario: Scenario, *, grid_dt: float = 300.0) -> dict[str, 
     }
 
 
-class _profiled:
-    """Context manager dumping a cProfile of its body per scenario.
+@contextmanager
+def _profiled(stem: str, profile_dir: str | Path | None) -> Iterator[None]:
+    """cProfile the body into ``<profile_dir>/<stem>.pstats``.
 
-    ``<profile_dir>/<scenario_hash>.pstats``, one file per scenario —
-    pool workers write files, so profiles survive process boundaries;
-    ``repro exp run --profile DIR`` aggregates them afterwards.
+    One file per scenario (its hash) or lockstep group
+    (``batch-<cap-free hash>``); pool workers write files, so profiles
+    survive process boundaries, and ``repro exp run --profile DIR``
+    aggregates them afterwards.
     """
+    if profile_dir is None:
+        yield
+        return
+    import cProfile
 
-    def __init__(self, scenario: Scenario, profile_dir: str | Path | None):
-        self.scenario = scenario
-        self.profile_dir = profile_dir
-        self._prof = None
-
-    def __enter__(self) -> "_profiled":
-        if self.profile_dir is not None:
-            import cProfile
-
-            self._prof = cProfile.Profile()
-            self._prof.enable()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._prof is not None:
-            self._prof.disable()
-            out = Path(self.profile_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            self._prof.dump_stats(
-                out / f"{self.scenario.scenario_hash()}.pstats"
-            )
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        yield
+    finally:
+        prof.disable()
+        Path(profile_dir).mkdir(parents=True, exist_ok=True)
+        prof.dump_stats(Path(profile_dir) / f"{stem}.pstats")
 
 
 def run_scenario(
@@ -383,11 +376,10 @@ def run_scenario(
     ``checkpoints``/``tally`` thread warm starts into the replay (see
     :func:`replay_scenario`); ``profile_dir`` wraps it in cProfile.
     """
-    _faults.maybe_fire(scenario.scenario_hash(), attempt)
-    t0 = time.perf_counter()
-    with _profiled(scenario, profile_dir):
-        result = replay_scenario(scenario, checkpoints=checkpoints, tally=tally)
-    return _condense(scenario, result, t0)
+    return _replay_cell(
+        scenario, attempt, series=False, grid_dt=0.0,
+        checkpoints=checkpoints, tally=tally, profile_dir=profile_dir,
+    )
 
 
 def run_scenario_with_series(
@@ -401,13 +393,32 @@ def run_scenario_with_series(
 ) -> tuple[RunResult, dict[str, np.ndarray]]:
     """Replay one scenario; return the condensed result *and* the
     Figure 6/7 grid series (the payload behind ``.npz`` caching)."""
+    return _replay_cell(
+        scenario, attempt, series=True, grid_dt=grid_dt,
+        checkpoints=checkpoints, tally=tally, profile_dir=profile_dir,
+    )
+
+
+def _replay_cell(
+    scenario: Scenario,
+    attempt: int = 1,
+    *,
+    series: bool,
+    grid_dt: float,
+    checkpoints: CheckpointStore | None = None,
+    tally: CheckpointTally | None = None,
+    profile_dir: str | Path | None = None,
+) -> Any:
+    """One solo unit in this process: the :class:`RunResult`, or
+    ``(RunResult, grid)`` with ``series``."""
     _faults.maybe_fire(scenario.scenario_hash(), attempt)
     t0 = time.perf_counter()
-    with _profiled(scenario, profile_dir):
+    with _profiled(scenario.scenario_hash(), profile_dir):
         result = replay_scenario(scenario, checkpoints=checkpoints, tally=tally)
     run = _condense(scenario, result, t0)
-    grid = dict(result.recorder.to_grid(0.0, result.duration, grid_dt))
-    return run, grid
+    if not series:
+        return run
+    return run, dict(result.recorder.to_grid(0.0, result.duration, grid_dt))
 
 
 def _condense(scenario: Scenario, result: ReplayResult, t0: float) -> RunResult:
@@ -449,70 +460,102 @@ def _condense(scenario: Scenario, result: ReplayResult, t0: float) -> RunResult:
     )
 
 
-def _platform_payload(
+def _replay_group(
     scenarios: Sequence[Scenario],
-) -> tuple[tuple[str, dict | None], ...]:
-    """Serialised specs of every platform the scenarios reference.
+    *,
+    series: bool,
+    grid_dt: float,
+    checkpoints: CheckpointStore | None = None,
+    tally: CheckpointTally | None = None,
+    profile_dir: str | None = None,
+    shm_prefix: str | None = None,
+    xfer: "_shm.TransferTally | None" = None,
+) -> tuple[dict[str, float], list[Any]]:
+    """One lockstep group in this process, through
+    :func:`repro.sim.batch.run_replay_batch`.
 
-    Scenarios carry only a platform *name*, and a worker's registry
-    state is unknowable from here: a ``spawn`` worker sees just the
-    builtins, while a long-lived ``fork`` pool carries whatever was
-    registered when it forked (possibly a since-replaced spec).
-    Shipping every referenced spec and re-registering with
-    ``replace=True`` makes the worker mirror the driver's registry
-    exactly, whatever its history.
-
-    Entries are ``(content_hash, spec_dict)`` pairs; a
-    :class:`~repro.exp.shm.SpecShipper` produces the same shape with
-    ``None`` dicts once a hash has been delivered, and the worker's
-    content-addressed cache fills the gap.
+    Returns ``(timings, payloads)`` with one payload per cell in input
+    order (``RunResult``, or ``(RunResult, series)`` with ``series``;
+    the series rides an shm segment under ``shm_prefix`` when given).
+    Each cell's wall clock reports its share of the batch, so wall
+    sums stay comparable across backends; the group's full elapsed
+    rides on every cell and in ``timings["elapsed"]``.
     """
     from repro.platform import get_platform
+    from repro.sim.batch import run_replay_batch
 
-    specs = (
-        get_platform(name)
-        for name in dict.fromkeys(sc.platform for sc in scenarios)
+    base = scenarios[0]
+    t0 = time.perf_counter()
+    platform = get_platform(base.platform)
+    platform_hash = platform.content_hash()
+    machine = _machine_for(base.platform, platform_hash, base.scale)
+    jobs = _jobs_for(
+        base.platform,
+        platform_hash,
+        base.interval,
+        base.effective_seed,
+        base.effective_duration,
+        base.overload,
+        base.scale,
     )
-    return tuple((spec.content_hash(), spec.to_dict()) for spec in specs)
+    warm = (
+        WarmStart(checkpoints, checkpoint_group(base), tally)
+        if checkpoints is not None
+        else None
+    )
+    timings: dict[str, float] = {}
+    with _profiled(f"batch-{base.with_(caps=()).scenario_hash()}", profile_dir):
+        replays = run_replay_batch(
+            machine,
+            jobs,
+            base.build_policy(machine),
+            duration=base.effective_duration,
+            caps_per_cell=[sc.build_caps(machine) for sc in scenarios],
+            config=base.build_config(),
+            platform=platform,
+            warm_start=warm,
+            timings=timings,
+        )
+    t_end = time.perf_counter()
+    elapsed = t_end - t0
+    share_t0 = t_end - elapsed / len(scenarios)
+    timings["elapsed"] = elapsed
+    payloads: list[Any] = []
+    for sc, rep in zip(scenarios, replays):
+        result = replace(_condense(sc, rep, share_t0), elapsed_seconds=elapsed)
+        if series:
+            grid = dict(rep.recorder.to_grid(0.0, rep.duration, grid_dt))
+            payloads.append((result, _pack_series(grid, shm_prefix, xfer)))
+        else:
+            payloads.append(result)
+    return timings, payloads
 
 
-def _register_platforms(
-    entries: Sequence[Any], tally: "_shm.TransferTally"
-) -> list[str]:
-    """Worker-side mirror of the driver's platform registry.
+def _arm_worker(
+    platforms: Sequence[Mapping[str, Any]], faults: Mapping[str, Any] | None
+) -> None:
+    """Mirror the driver's platform registry and fault plan here.
 
-    Full entries register and seed this process's content-addressed
-    cache; hash-only entries resolve from it.  Returns the hashes
-    that could not be resolved (the caller answers with a
-    :func:`~repro.exp.shm.spec_miss` sentinel so the driver re-ships
-    them in full, once)."""
+    Scenarios carry only a platform *name*, and a worker's registry is
+    unknowable from the driver: a ``spawn`` worker sees just the
+    builtins, a ``fork`` worker whatever was registered when it
+    forked.  Re-registering every referenced spec with ``replace=True``
+    makes it mirror the driver exactly (identical content is a no-op).
+    Likewise a spawn worker starts disarmed, and a fork worker's copy
+    of the fault plan may be stale.
+    """
     from repro.platform import PlatformSpec, register_platform
 
-    missing: list[str] = []
-    for entry in entries:
-        if isinstance(entry, Mapping):  # legacy full-dict form
-            register_platform(PlatformSpec.from_dict(entry), replace=True)
-            continue
-        h, d = entry
-        if d is not None:
-            spec = PlatformSpec.from_dict(d)
-            _shm.PLATFORM_CACHE.put(h, spec)
-        else:
-            spec = _shm.PLATFORM_CACHE.get(h)
-            if spec is None:
-                missing.append(h)
-                continue
-            tally.spec_hits += 1
-        # The driver's registry wins over whatever the worker
-        # inherited; identical content makes this a no-op.
-        register_platform(spec, replace=True)
-    return missing
+    for spec in platforms:
+        register_platform(PlatformSpec.from_dict(spec), replace=True)
+    if faults is not None:
+        _faults.install_plan(faults)
 
 
 def _pack_series(
     grid: dict[str, np.ndarray],
     shm_prefix: str | None,
-    tally: "_shm.TransferTally",
+    tally: "_shm.TransferTally | None",
 ) -> Any:
     """Worker-side series transport: a segment descriptor when the
     data plane is on, the plain dict (pickle path) otherwise.
@@ -530,16 +573,10 @@ def _pack_series(
     return grid
 
 
-#: sentinel wrapping a task payload whose worker has in-band metadata
-#: to report — the warm-start tally and/or the transfer tally ride
-#: back inside the outcome as ``(_META_WRAPPER, meta_dict, payload)``
-_META_WRAPPER = "__taskmeta__"
-
-
 def _run_task(
     scenario: Scenario,
     *,
-    platforms: Sequence[Any],
+    platforms: Sequence[Mapping[str, Any]],
     series: bool,
     grid_dt: float,
     faults: Mapping[str, Any] | None = None,
@@ -548,160 +585,71 @@ def _run_task(
     profile_dir: str | None = None,
     shm_prefix: str | None = None,
 ):
-    """One GridRunner work item (top-level so it pickles to workers)."""
+    """One solo cell as a pool work item (top-level so it pickles).
+
+    Returns ``(tally_dict, timings, [payload])``, the shape of
+    :func:`_run_group_task`'s reply: a directory checkpoint store
+    pickles as its path, so the worker probes/publishes the driver's
+    entries and its warm-start tally rides back in-band, as does the
+    transfer tally (under ``timings["xfer"]``).
+    """
+    _arm_worker(platforms, faults)
+    tally = CheckpointTally()
     xfer = _shm.TransferTally()
-    missing = _register_platforms(platforms, xfer)
-    if missing:
-        # Hash-only envelope referenced specs this worker has never
-        # seen: answer before arming faults or replaying anything —
-        # the attempt "didn't happen" and the driver re-ships in full.
-        return _shm.spec_miss(missing)
-    if faults is not None:
-        # Arm the driver's fault plan in this process: a spawn worker
-        # starts disarmed, and a fork worker's copy may be stale.
-        _faults.install_plan(faults)
-    # A directory checkpoint store pickles as its path, so a pool
-    # worker probes/publishes the same entries as the driver; the
-    # per-call tally rides back in-band inside the outcome.
-    tally = CheckpointTally() if checkpoints is not None else None
+    payload = _replay_cell(
+        scenario,
+        attempt,
+        series=series,
+        grid_dt=grid_dt,
+        checkpoints=checkpoints,
+        tally=tally,
+        profile_dir=profile_dir,
+    )
     if series:
-        result, grid = run_scenario_with_series(
-            scenario,
-            grid_dt=grid_dt,
-            attempt=attempt,
-            checkpoints=checkpoints,
-            tally=tally,
-            profile_dir=profile_dir,
-        )
-        payload: Any = (result, _pack_series(grid, shm_prefix, xfer))
-    else:
-        payload = run_scenario(
-            scenario,
-            attempt=attempt,
-            checkpoints=checkpoints,
-            tally=tally,
-            profile_dir=profile_dir,
-        )
-    meta: dict[str, Any] = {}
-    if tally is not None:
-        meta["ckpt"] = tally.to_dict()
-    if xfer:
-        meta["xfer"] = xfer.to_dict()
-    if meta:
-        return (_META_WRAPPER, meta, payload)
-    return payload
+        payload = (payload[0], _pack_series(payload[1], shm_prefix, xfer))
+    return tally.to_dict(), ({"xfer": xfer.to_dict()} if xfer else {}), [payload]
 
 
 def _run_group_task(
-    scenarios: "tuple[Scenario, ...] | _shm.GroupEnvelope",
+    envelope: "_shm.GroupEnvelope",
     *,
-    platforms: Sequence[Any],
+    platforms: Sequence[Mapping[str, Any]],
     series: bool,
     grid_dt: float,
     faults: Mapping[str, Any] | None = None,
+    attempt: int = 1,
     checkpoints: CheckpointStore | None = None,
     profile_dir: str | None = None,
-    attempt: int = 1,
     shm_prefix: str | None = None,
 ):
     """One whole lockstep group as a pool work item (top-level so it
-    pickles to workers — the batch×pool composition's transport).
+    pickles to workers).
 
-    ``scenarios`` is either the full scenario tuple or a compact
-    :class:`~repro.exp.shm.GroupEnvelope` (scenario-hash list plus cap
-    deltas) resolved against this worker's content-addressed cache; an
-    unresolvable envelope returns the spec-miss sentinel and the
-    driver re-ships the group in full, uncharged.
-
-    Returns ``(tally_dict, timings_dict, payloads)`` with one payload
-    per cell in input order (``RunResult`` or ``(RunResult, grid)``
-    with ``series``).  Any exception — including a planned fault fired
-    by a member cell, which on the pool may kill this whole worker —
-    is the driver's signal to degrade the group to solo re-runs.
+    Returns ``(tally_dict, timings, payloads)`` with one payload per
+    cell in input order (see :func:`_replay_group`).  Any exception —
+    including a planned fault fired by a member cell, which on the
+    pool may kill this whole worker — is the driver's signal to
+    degrade the group to solo units.
     """
-    from repro.exp.checkpoints import WarmStart, checkpoint_group
-    from repro.platform import get_platform
-    from repro.sim.batch import run_replay_batch
-
-    xfer = _shm.TransferTally()
-    missing = _register_platforms(platforms, xfer)
-    if isinstance(scenarios, _shm.GroupEnvelope):
-        resolved = scenarios.resolve()
-        if _shm.is_spec_miss(resolved):
-            return _shm.spec_miss(list(resolved[1]) + missing)
-        xfer.spec_hits += 1 if scenarios.base is None else 0
-        scenarios = resolved
-    if missing:
-        return _shm.spec_miss(missing)
-    if faults is not None:
-        _faults.install_plan(faults)
-    base = scenarios[0]
+    _arm_worker(platforms, faults)
+    scenarios = envelope.resolve()
     for sc in scenarios:
         # Planned faults fire here, before the replay, exactly as on
-        # the solo path — except a crash now kills a *worker*, not the
+        # the solo path — except a crash kills a *worker*, not the
         # driver, and costs its group the lockstep speedup only.
         _faults.maybe_fire(sc.scenario_hash(), attempt)
-    t0 = time.perf_counter()
-    platform = get_platform(base.platform)
-    platform_hash = platform.content_hash()
-    machine = _machine_for(base.platform, platform_hash, base.scale)
-    jobs = _jobs_for(
-        base.platform,
-        platform_hash,
-        base.interval,
-        base.effective_seed,
-        base.effective_duration,
-        base.overload,
-        base.scale,
-    )
     tally = CheckpointTally()
-    warm = (
-        WarmStart(checkpoints, checkpoint_group(base), tally)
-        if checkpoints is not None
-        else None
+    xfer = _shm.TransferTally()
+    timings, payloads = _replay_group(
+        scenarios,
+        series=series,
+        grid_dt=grid_dt,
+        checkpoints=checkpoints,
+        tally=tally,
+        profile_dir=profile_dir,
+        shm_prefix=shm_prefix,
+        xfer=xfer,
     )
-    timings: dict[str, float] = {}
-    prof = None
-    if profile_dir is not None:
-        import cProfile
-
-        prof = cProfile.Profile()
-        prof.enable()
-    try:
-        replays = run_replay_batch(
-            machine,
-            jobs,
-            base.build_policy(machine),
-            duration=base.effective_duration,
-            caps_per_cell=[sc.build_caps(machine) for sc in scenarios],
-            config=base.build_config(),
-            platform=platform,
-            warm_start=warm,
-            timings=timings,
-        )
-    finally:
-        if prof is not None:
-            prof.disable()
-    if prof is not None:
-        out = Path(profile_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        # Same name the in-process batch backend uses for this group.
-        prof.dump_stats(out / f"batch-{base.with_(caps=()).scenario_hash()}.pstats")
-    # Per-cell wall clock reports the cell's share of the batch (sums
-    # comparable across backends); the group's full elapsed rides on
-    # every cell so the driver can report and calibrate per group.
-    t_end = time.perf_counter()
-    elapsed = t_end - t0
-    share_t0 = t_end - elapsed / len(scenarios)
-    timings["elapsed"] = elapsed
-    payloads: list[Any] = []
-    for sc, rep in zip(scenarios, replays):
-        result = replace(_condense(sc, rep, share_t0), elapsed_seconds=elapsed)
-        if series:
-            grid = dict(rep.recorder.to_grid(0.0, rep.duration, grid_dt))
-            payloads.append((result, _pack_series(grid, shm_prefix, xfer)))
-        else:
-            payloads.append(result)
     if xfer:
         timings["xfer"] = xfer.to_dict()
     return tally.to_dict(), timings, payloads
@@ -723,10 +671,11 @@ class GridRunner:
     ----------
     workers:
         Process count; ``None`` or ``<= 1`` runs serially in-process.
-        Shorthand for ``backend=ProcessPoolBackend(workers)``;
-        mutually exclusive with an explicit ``backend`` (passing both
-        raises).  Parallel execution is deterministic: results are
-        identical to a serial run of the same list, in the same order.
+        Shorthand for ``backend=make_backend("pool", workers=workers)``:
+        every cell replays independently on a worker.  Mutually
+        exclusive with an explicit ``backend`` (passing both raises).
+        Parallel execution is deterministic: results are identical to
+        a serial run of the same list, in the same order.
     cache_dir:
         Shorthand for ``store=DirectoryStore(cache_dir)``: each
         finished scenario is written to
@@ -737,11 +686,7 @@ class GridRunner:
         (passing both raises).
     mp_context:
         ``multiprocessing`` start method of the shorthand pool backend
-        (see :class:`~repro.exp.backends.ProcessPoolBackend`).
-    persistent:
-        Keep the shorthand pool backend's workers alive between
-        :meth:`run` calls (fork once, stream scenarios); release via
-        :meth:`close` or a ``with`` block.
+        (see :class:`~repro.exp.backends.PoolBackend`).
     series:
         Also export each scenario's Figure 6/7 grid series and hand it
         to the store as a ``.npz`` payload under the same key
@@ -787,10 +732,8 @@ class GridRunner:
         :func:`~repro.exp.checkpoints.make_checkpoint_store`) of
         persistent warm-start prefixes.  Every executed cell probes
         the store for its cap-free prefix before replaying it cold and
-        publishes it on a miss; on a multi-process pool the runner
-        additionally plans reuse up front — one elected publisher per
-        unstored checkpoint group runs first, then the rest of the
-        grid fans out as warm starts.  Hit/miss/publish tallies land
+        publishes it on a miss (a lockstep group publishes once for all
+        its cells).  Hit/miss/publish tallies land
         in :attr:`SweepReport.checkpoints`.  An in-memory checkpoint
         store only helps in-process backends (pool workers would probe
         a pickled empty copy), so it is not shipped to pools.
@@ -806,7 +749,6 @@ class GridRunner:
         *,
         cache_dir: str | Path | None = None,
         mp_context: str | None = None,
-        persistent: bool = False,
         series: bool = False,
         series_dt: float = DEFAULT_SERIES_DT,
         backend: ExecutionBackend | None = None,
@@ -825,15 +767,12 @@ class GridRunner:
         self.series_dt = float(series_dt)
         if backend is None:
             if self.workers > 1:
-                backend = ProcessPoolBackend(
-                    self.workers, mp_context=mp_context, persistent=persistent
-                )
+                backend = PoolBackend(self.workers, mp_context=mp_context)
             else:
-                backend = SerialBackend()
-        elif workers is not None or mp_context is not None or persistent:
+                backend = BatchBackend(grouped=False)
+        elif workers is not None or mp_context is not None:
             raise ValueError(
-                "pass either an explicit backend or workers/mp_context/"
-                "persistent, not both"
+                "pass either an explicit backend or workers/mp_context, not both"
             )
         self.backend = backend
         if store is None:
@@ -870,26 +809,6 @@ class GridRunner:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- compatibility shims ----------------------------------------------------------
-
-    @property
-    def _pool(self):
-        """The live worker pool of a pool backend (tests/diagnostics)."""
-        return getattr(self.backend, "_pool", None)
-
-    @property
-    def mp_context(self) -> str | None:
-        return getattr(self.backend, "mp_context", None)
-
-    @property
-    def persistent(self) -> bool:
-        return bool(getattr(self.backend, "persistent", False))
-
-    @staticmethod
-    def _cache_key(scenario: Scenario) -> str:
-        """Content-addressed store key (see :func:`repro.exp.store.result_key`)."""
-        return result_key(scenario)
-
     # -- store access -----------------------------------------------------------------
 
     @property
@@ -922,41 +841,12 @@ class GridRunner:
         """
         return self.store.get_series(result_key(scenario))
 
-    # -- warm-start planning ----------------------------------------------------------
-
     def _backend_in_process(self) -> bool:
         """Whether scenarios execute in this process (no pool workers)."""
         b = self.backend
         while isinstance(b, ShardedBackend):
             b = b.inner
-        return not isinstance(b, ProcessPoolBackend)
-
-    def _plan_waves(self, to_run: Sequence[Scenario]) -> list[list[int]]:
-        """Plan prefix reuse for a multi-process fan-out.
-
-        Groups the deduped work list by checkpoint group (cap-free
-        scenario × platform × policy).  For every group of two or more
-        cells with nothing stored yet, one **publisher** is elected
-        into the first wave; everything else lands in the second wave
-        and fans out against the published prefixes.  Without the
-        split, parallel workers of one group would all miss and replay
-        the shared prefix cold, then race to publish the same artifact.
-        """
-        assert self.checkpoints is not None
-        groups: dict[str, list[int]] = {}
-        for i, sc in enumerate(to_run):
-            groups.setdefault(checkpoint_group(sc), []).append(i)
-        first: list[int] = []
-        rest: list[int] = []
-        for group, members in groups.items():
-            if len(members) > 1 and not self.checkpoints.has_group(group):
-                first.append(members[0])
-                rest.extend(members[1:])
-            else:
-                rest.extend(members)
-        if not first:
-            return [sorted(rest)]
-        return [sorted(first), sorted(rest)]
+        return not isinstance(b, PoolBackend)
 
     # -- execution --------------------------------------------------------------------
 
@@ -1104,16 +994,9 @@ class GridRunner:
         cost_model = CostModel.from_store(self.store)
         group_stats: dict[str, Any] = {}
 
-        # Data plane: per-sweep transfer accounting, a spec-delivery
-        # ledger (hash-only envelopes once a spec has shipped), and
-        # the backend's segment-name prefix for shm series transport.
-        # All three are inert on in-process backends.
+        # Data-plane accounting: bytes shipped by pool backends plus
+        # series segments adopted here (inert on in-process backends).
         xfer = _shm.TransferTally()
-        compact_specs = bool(
-            getattr(self.backend, "supports_spec_cache", False)
-        )
-        shipper = _shm.SpecShipper(compact=compact_specs)
-        transport_prefix = getattr(self.backend, "transport_prefix", None)
 
         def collect_result(sc: Scenario, item: Any) -> None:
             if want_series:
@@ -1168,132 +1051,32 @@ class GridRunner:
                     progress(slot_result)
 
         want_series = self._want_series
-        grid_dt = self.store.series_dt if want_series else self.series_dt
-        plan = _faults.active_plan()
         ckpt_tally = CheckpointTally()
-        in_process = self._backend_in_process()
         # An in-memory checkpoint store can't cross a process boundary
         # (workers would probe a pickled empty copy and publish into
         # the void), so only shareable stores ship to pools.
         use_ckpt = self.checkpoints is not None and (
-            in_process or self.checkpoints.shareable
+            self._backend_in_process() or self.checkpoints.shareable
         )
-        profile_arg = str(self.profile_dir) if self.profile_dir is not None else None
-        shm_prefix = transport_prefix if want_series else None
-        wants_scenarios = bool(getattr(self.backend, "wants_scenarios", False))
-        if compact_specs:
-            # Seed this process's content-addressed caches before any
-            # pool forks: children inherit them, so hash-only
-            # envelopes hit from the very first task.
-            _shm.seed_platform_cache(sc.platform for sc in to_run)
-        if wants_scenarios:
-            # Scenario-aware backends (batch) group and execute the
-            # specs themselves; outcomes come back shaped like
-            # map_tasks' (index, result-or-failure, retries) triples.
-            # (They also answer spec misses internally — a sentinel
-            # reaching this loop is a protocol bug and fails loudly.)
-            outcomes: Iterable[Any] = self.backend.run_scenarios(
-                to_run,
-                series=want_series,
-                grid_dt=grid_dt,
-                retry=retry,
-                timeout=timeout,
-                checkpoints=self.checkpoints if use_ckpt else None,
-                tally=ckpt_tally,
-                profile_dir=profile_arg,
-                cost_model=cost_model,
-                group_stats=group_stats,
-                shipper=shipper,
-                transfer=xfer,
-                shm_prefix=shm_prefix,
-            )
-        else:
-            def _map_subset(
-                subset: Sequence[Scenario], *, full: bool = False
-            ) -> Iterable[Any]:
-                task: Callable[..., Any] = partial(
-                    _run_task,
-                    platforms=shipper.platform_payload(subset, full=full),
-                    series=want_series,
-                    grid_dt=grid_dt,
-                    faults=plan.to_dict() if plan is not None else None,
-                    checkpoints=self.checkpoints if use_ckpt else None,
-                    profile_dir=profile_arg,
-                    shm_prefix=shm_prefix,
-                )
-                if transport_prefix is not None:
-                    # Each pool submit pickles the task envelope anew;
-                    # charge what actually crosses the pipe.
-                    xfer.note_envelope(task, len(subset))
-                return self.backend.map_tasks(
-                    task, subset, retry=retry, timeout=timeout
-                )
-
-            if use_ckpt and not in_process and len(to_run) > 1:
-                # Pool fan-out: run one elected publisher per unstored
-                # checkpoint group first, then warm-start the rest.
-                def _iter_waves() -> Iterable[Any]:
-                    for wave in self._plan_waves(to_run):
-                        subset = [to_run[i] for i in wave]
-                        for local, outcome, retries in _map_subset(subset):
-                            yield wave[local], outcome, retries
-
-                outcomes = _iter_waves()
-            else:
-                outcomes = _map_subset(to_run)
-        spec_redo: list[int] = []
-
-        def handle_outcome(
-            index: int, outcome: Any, retries: int, *, allow_redo: bool
-        ) -> None:
-            report.n_retries += retries
-            sc = to_run[index]
-            if _shm.is_spec_miss(outcome):
-                # The worker's content-addressed cache lacked a spec a
-                # hash-only envelope referenced.  Re-ship in full,
-                # once, uncharged; a second miss means the protocol is
-                # broken and fails the scenario honestly.
-                xfer.spec_misses += len(outcome[1])
-                if allow_redo:
-                    shipper.invalidate(outcome[1])
-                    spec_redo.append(index)
-                    return
-                record_failure(
-                    sc,
-                    TaskFailure(
-                        kind="error",
-                        error_type="SpecCacheMiss",
-                        message=(
-                            "worker could not resolve spec hash(es) "
-                            f"{', '.join(outcome[1])} even from a full "
-                            "envelope"
-                        ),
-                        attempts=1,
-                    ),
-                )
-                return
-            if (
-                isinstance(outcome, tuple)
-                and len(outcome) == 3
-                and outcome[0] == _META_WRAPPER
-            ):
-                _, meta, outcome = outcome
-                if meta.get("ckpt"):
-                    ckpt_tally.add(meta["ckpt"])
-                if meta.get("xfer"):
-                    xfer.add(meta["xfer"])
-            if isinstance(outcome, TaskFailure):
-                record_failure(sc, outcome)
-            else:
-                collect_result(sc, outcome)
-
+        outcomes = self.backend.run_scenarios(
+            to_run,
+            series=want_series,
+            grid_dt=self.store.series_dt if want_series else self.series_dt,
+            retry=retry,
+            timeout=timeout,
+            checkpoints=self.checkpoints if use_ckpt else None,
+            tally=ckpt_tally,
+            profile_dir=None if self.profile_dir is None else str(self.profile_dir),
+            cost_model=cost_model,
+            group_stats=group_stats,
+            transfer=xfer,
+        )
         for index, outcome, retries in outcomes:
-            handle_outcome(index, outcome, retries, allow_redo=not wants_scenarios)
-        if spec_redo:
-            redo, spec_redo = spec_redo, []
-            subset = [to_run[i] for i in redo]
-            for local, outcome, retries in _map_subset(subset, full=True):
-                handle_outcome(redo[local], outcome, retries, allow_redo=False)
+            report.n_retries += retries
+            if isinstance(outcome, TaskFailure):
+                record_failure(to_run[index], outcome)
+            else:
+                collect_result(to_run[index], outcome)
 
         # Defensive accounting: every deduped scenario must come back
         # as a result or a failure — a backend that silently drops one

@@ -1,11 +1,10 @@
 """Zero-copy shared-memory data plane for pool sweeps.
 
-Everything that crosses the driver↔worker boundary of a pool backend
-moves through this module:
+What crosses the driver↔worker boundary of a pool backend, beyond the
+task envelopes themselves, moves through this module:
 
 * **Array transport** — :class:`SharedArena` places NumPy payloads
-  (series grids from ``run_scenario_with_series``, fork-state
-  matrices, checkpoint ``.npz`` bodies) into named
+  (series grids from ``run_scenario_with_series``) into named
   :mod:`multiprocessing.shared_memory` segments.  Workers return a
   tiny :class:`ShmPayload` descriptor — ``(segment, dtype, shape,
   offset)`` per array — and the driver adopts it as zero-copy
@@ -21,20 +20,14 @@ moves through this module:
   results are bit-identical either way (the golden digests never
   flow through the segment, only bulk series data does).
 
-* **Content-addressed spec cache** — workers memoise deserialised
-  :class:`~repro.platform.PlatformSpec` objects, group base scenarios
-  and checkpoint fork states in bounded per-process LRUs keyed by
-  content hash.  After first delivery the driver ships only hashes
-  (:class:`SpecShipper`), so a 12-cell group envelope shrinks to a
-  scenario-hash list plus cap deltas (:class:`GroupEnvelope`).  A
-  cache miss — a worker forked before the cache was seeded, or an
-  LRU eviction — is answered with the :func:`spec_miss` sentinel and
-  the driver re-ships the full spec once, uncharged.
+* **Group envelope** — :class:`GroupEnvelope` is the wire form of one
+  lockstep group: the cap-free base scenario once, then per-cell
+  ``(name, caps)`` deltas, with each cell's content hash pinned so a
+  drifting reconstruction fails loudly.
 
 * **Transfer accounting** — :class:`TransferTally` counts bytes
-  shipped through pickle, bytes shared through segments, and spec
-  cache hits/misses; the per-sweep totals surface in
-  ``SweepReport.transfer`` and ``exp run --plan``.
+  shipped through pickle, bytes shared through segments, and pickle
+  fallbacks; the per-sweep totals surface in ``SweepReport.transfer``.
 """
 
 from __future__ import annotations
@@ -44,9 +37,8 @@ import itertools
 import os
 import pickle
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -60,18 +52,15 @@ __all__ = [
     "ShmAdoptError",
     "ShmPayload",
     "ShmView",
-    "SpecShipper",
     "TransferTally",
     "arena",
     "format_bytes",
-    "is_spec_miss",
     "live_segments",
     "new_prefix",
     "reap_prefix",
-    "seed_platform_cache",
     "set_shm_enabled",
     "shm_available",
-    "spec_miss",
+    "status_line",
 ]
 
 #: payloads smaller than this ship pickled — a segment costs two
@@ -389,119 +378,36 @@ def live_segments(prefix: str = "rs") -> set[str]:
         return set()
 
 
-# -- content-addressed spec caches -----------------------------------------------------
-
-
-class SpecCache:
-    """Bounded LRU keyed by content hash.
-
-    Content addressing makes entries immortal-if-present: two values
-    under one key are bit-identical by construction, so there is no
-    invalidation protocol — only capacity eviction.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = int(maxsize)
-        self._data: OrderedDict[Any, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Any) -> Any | None:
-        try:
-            self._data.move_to_end(key)
-        except KeyError:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return self._data[key]
-
-    def put(self, key: Any, value: Any) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = self.misses = 0
-
-
-#: per-process memo of deserialised PlatformSpecs by content hash
-PLATFORM_CACHE = SpecCache(maxsize=64)
-#: per-process memo of group base scenarios by cap-free scenario hash
-SCENARIO_CACHE = SpecCache(maxsize=64)
-#: per-process memo of loaded checkpoint fork states by (root, key) —
-#: fork states are multi-MB array dicts, so the bound stays tight
-FORK_STATE_CACHE = SpecCache(maxsize=4)
-
-
-def seed_platform_cache(names: Iterable[str]) -> None:
-    """Driver-side cache warm-up before the pool forks.
-
-    Under the ``fork`` start method children inherit this process's
-    caches, so seeding here makes hash-only envelopes hit from the
-    very first task; ``spawn`` (or a pool forked earlier) answers
-    through the miss protocol instead.
-    """
-    from repro.platform import get_platform
-
-    for name in dict.fromkeys(names):
-        spec = get_platform(name)
-        PLATFORM_CACHE.put(spec.content_hash(), spec)
-
-
-#: head of the miss sentinel a worker returns instead of a result when
-#: a hash-only envelope references specs its caches do not hold
-SPEC_MISS = "__specmiss__"
-
-
-def spec_miss(missing: Sequence[str]) -> tuple[str, tuple[str, ...]]:
-    return (SPEC_MISS, tuple(missing))
-
-
-def is_spec_miss(obj: Any) -> bool:
-    return (
-        isinstance(obj, tuple)
-        and len(obj) == 2
-        and obj[0] == SPEC_MISS
-    )
-
-
 # -- envelopes -------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GroupEnvelope:
-    """Compact wire form of one lockstep group.
+    """Self-contained wire form of one lockstep group.
 
-    ``base`` is the cap-free base scenario — shipped once, then
-    ``None`` (the worker resolves it from its cache by ``group``
-    hash).  Cells are ``(name, caps)`` deltas; ``hashes`` pin each
+    ``base`` is the cap-free base scenario, shipped once per group;
+    cells are ``(name, caps)`` deltas on it, and ``hashes`` pin each
     reconstructed cell's content hash, so a worker whose
-    reconstruction drifts fails loudly instead of replaying the
-    wrong spec.
+    reconstruction drifts fails loudly instead of replaying the wrong
+    spec.
     """
 
-    group: str
-    base: "Scenario | None"
+    base: "Scenario"
     cells: tuple[tuple[str, tuple], ...]
     hashes: tuple[str, ...]
 
-    def resolve(self) -> "tuple[Scenario, ...] | tuple[str, tuple[str, ...]]":
-        """Reconstruct the group's scenarios in this process, or a
-        :func:`spec_miss` sentinel when the base is not cached."""
-        base = self.base
-        if base is None:
-            base = SCENARIO_CACHE.get(self.group)
-            if base is None:
-                return spec_miss([self.group])
-        else:
-            SCENARIO_CACHE.put(self.group, base)
+    @classmethod
+    def pack(cls, scenarios: Sequence["Scenario"]) -> "GroupEnvelope":
+        return cls(
+            base=scenarios[0].with_(caps=()),
+            cells=tuple((sc.name, sc.caps) for sc in scenarios),
+            hashes=tuple(sc.scenario_hash() for sc in scenarios),
+        )
+
+    def resolve(self) -> "tuple[Scenario, ...]":
+        """Reconstruct the group's scenarios in this process."""
         cells = tuple(
-            base.with_(name=name, caps=caps) for name, caps in self.cells
+            self.base.with_(name=name, caps=caps) for name, caps in self.cells
         )
         for sc, expected in zip(cells, self.hashes):
             got = sc.scenario_hash()
@@ -511,53 +417,6 @@ class GroupEnvelope:
                     f"reconstructed to {got}, envelope pinned {expected}"
                 )
         return cells
-
-
-class SpecShipper:
-    """Driver-side ledger of which spec hashes have been delivered.
-
-    With ``compact`` off (non-fork pools, or spec caching disabled)
-    every envelope carries full spec dicts — the pre-data-plane wire
-    format.  With it on, a spec ships in full exactly once per sweep
-    and as a bare hash afterwards; :meth:`invalidate` reverts a hash
-    to full shipping after a worker reported a miss.
-    """
-
-    def __init__(self, *, compact: bool = False) -> None:
-        self.compact = bool(compact)
-        self._sent: set[str] = set()
-
-    def platform_payload(
-        self, scenarios: Sequence["Scenario"], *, full: bool = False
-    ) -> tuple[tuple[str, dict | None], ...]:
-        """``(content_hash, spec_dict | None)`` per referenced platform."""
-        from repro.platform import get_platform
-
-        entries: list[tuple[str, dict | None]] = []
-        for name in dict.fromkeys(sc.platform for sc in scenarios):
-            spec = get_platform(name)
-            h = spec.content_hash()
-            if self.compact and not full and h in self._sent:
-                entries.append((h, None))
-            else:
-                self._sent.add(h)
-                entries.append((h, spec.to_dict()))
-        return tuple(entries)
-
-    def group_base(self, base: "Scenario", group: str) -> "Scenario | None":
-        """The envelope's ``base`` field: the full spec on first
-        delivery (also seeding the driver-side cache, which forked
-        workers inherit), ``None`` afterwards."""
-        if not self.compact:
-            return base
-        SCENARIO_CACHE.put(group, base)
-        if group in self._sent:
-            return None
-        self._sent.add(group)
-        return base
-
-    def invalidate(self, hashes: Iterable[str]) -> None:
-        self._sent.difference_update(hashes)
 
 
 # -- transfer accounting ---------------------------------------------------------------
@@ -571,14 +430,12 @@ class TransferTally:
     envelopes plus any series arrays that fell back to pickling);
     ``bytes_shared`` counts segment bytes adopted zero-copy;
     ``fallbacks`` counts series payloads that wanted shm but pickled
-    instead.  Spec hits/misses aggregate the workers' cache stats.
+    instead.
     """
 
     bytes_shipped: int = 0
     bytes_shared: int = 0
     segments: int = 0
-    spec_hits: int = 0
-    spec_misses: int = 0
     fallbacks: int = 0
 
     def add(self, d: Mapping[str, int] | "TransferTally") -> None:
@@ -593,8 +450,6 @@ class TransferTally:
             "bytes_shipped": self.bytes_shipped,
             "bytes_shared": self.bytes_shared,
             "segments": self.segments,
-            "spec_hits": self.spec_hits,
-            "spec_misses": self.spec_misses,
             "fallbacks": self.fallbacks,
         }
 
@@ -607,13 +462,6 @@ class TransferTally:
             self.bytes_shipped += len(pickle.dumps(obj)) * count
         except Exception:  # pragma: no cover - unpicklable in-process task
             pass
-
-
-def pickled_size(obj: Any) -> int:
-    try:
-        return len(pickle.dumps(obj))
-    except Exception:  # pragma: no cover - in-process-only payloads
-        return 0
 
 
 def format_bytes(n: int) -> str:
@@ -634,42 +482,15 @@ def transfer_summary(t: Mapping[str, int]) -> str:
             f"{format_bytes(t['bytes_shared'])} shm "
             f"({t.get('segments', 0)} seg)"
         )
-    hits, misses = t.get("spec_hits", 0), t.get("spec_misses", 0)
-    if hits or misses:
-        parts.append(f"spec-cache {hits}/{hits + misses} hit(s)")
     if t.get("fallbacks"):
         parts.append(f"{t['fallbacks']} pickle fallback(s)")
     return "transfer: " + ", ".join(parts)
 
 
-def envelope_report(
-    scenarios: Sequence["Scenario"], groups: Sequence[Sequence[int]]
-) -> list[str]:
-    """``exp run --plan`` lines: projected envelope sizes and the data
-    plane's status for this host."""
-    lines = [
+def status_line() -> str:
+    """The ``exp run --plan`` line on the data plane's state here."""
+    return (
         "data plane: shm array transport "
         + ("on" if shm_available() else "off (pickle fallback)")
         + " — series payloads ride /dev/shm segments; REPRO_SHM=0 forces pickle"
-    ]
-    if not groups:
-        return lines
-    full = compact = 0
-    for idxs in groups:
-        cells = tuple(scenarios[i] for i in idxs)
-        base = cells[0].with_(caps=())
-        env = GroupEnvelope(
-            group=base.scenario_hash(),
-            base=None,
-            cells=tuple((sc.name, sc.caps) for sc in cells),
-            hashes=tuple(sc.scenario_hash() for sc in cells),
-        )
-        full += pickled_size(cells)
-        compact += pickled_size(env)
-    ratio = full / compact if compact else 1.0
-    lines.append(
-        f"envelopes: {len(groups)} group(s): {format_bytes(full)} full -> "
-        f"{format_bytes(compact)} compact ({ratio:.1f}x smaller after first "
-        "delivery)"
     )
-    return lines

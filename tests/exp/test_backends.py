@@ -9,21 +9,20 @@ to the pinned golden digests.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.report import merge_cells
 from repro.exp import (
     BatchBackend,
-    BatchPoolBackend,
     CapWindow,
     DirectoryStore,
     FaultPlan,
     FaultSpec,
     GridRunner,
     MemoryStore,
-    ProcessPoolBackend,
+    PoolBackend,
     RetryPolicy,
     Scenario,
-    SerialBackend,
     ShardedBackend,
     injected,
     make_backend,
@@ -86,10 +85,14 @@ class TestShardSelection:
 
 class TestBackendConstruction:
     def test_make_backend_auto(self):
-        assert isinstance(make_backend(workers=1), SerialBackend)
+        serial = make_backend(workers=1)
+        assert isinstance(serial, BatchBackend) and serial.name == "serial"
         auto = make_backend(workers=3)
-        assert isinstance(auto, ProcessPoolBackend) and auto.workers == 3
-        assert isinstance(make_backend("serial", workers=8), SerialBackend)
+        assert isinstance(auto, PoolBackend) and auto.workers == 3
+        assert auto.name == "pool" and not auto.grouped
+        assert make_backend("serial", workers=8).name == "serial"
+        # One worker means in-process, whatever the name.
+        assert make_backend("pool", workers=1).name == "serial"
         with pytest.raises(ValueError):
             make_backend("slurm")
 
@@ -97,9 +100,9 @@ class TestBackendConstruction:
         sharded = make_backend("pool", workers=2, shard="2/3")
         assert isinstance(sharded, ShardedBackend)
         assert (sharded.index, sharded.count) == (1, 3)
-        assert isinstance(sharded.inner, ProcessPoolBackend)
+        assert isinstance(sharded.inner, PoolBackend)
         # 1/1 is the whole grid: no wrapper.
-        assert isinstance(make_backend("serial", shard="1/1"), SerialBackend)
+        assert isinstance(make_backend("serial", shard="1/1"), BatchBackend)
 
     def test_sharded_validation(self):
         with pytest.raises(ValueError):
@@ -109,8 +112,8 @@ class TestBackendConstruction:
 
     def test_ownership(self):
         key = TINY.scenario_hash()
-        assert SerialBackend().owns(key)
-        assert ProcessPoolBackend(2).owns(key)
+        assert BatchBackend(grouped=False).owns(key)
+        assert PoolBackend(2).owns(key)
         owners = [
             k for k in range(4) if ShardedBackend(k, 4).owns(key)
         ]
@@ -118,14 +121,17 @@ class TestBackendConstruction:
 
     def test_runner_rejects_backend_plus_workers(self):
         with pytest.raises(ValueError):
-            GridRunner(workers=2, backend=SerialBackend())
+            GridRunner(workers=2, backend=make_backend("serial"))
 
 
 class TestPoolLifecycle:
     def test_close_is_idempotent(self):
-        backend = ProcessPoolBackend(2, persistent=True)
-        results = list(backend.map(abs, [-1, -2]))
-        assert results == [1, 2]
+        backend = PoolBackend(2)
+        with GridRunner(backend=backend) as runner:
+            runner.run([TINY, TINY.with_(name="s2", seed=2)])
+            # The pool lives for one run: the sweep already closed it.
+            assert backend._pool is None
+        backend._get_pool(2)
         assert backend._pool is not None
         backend.close()
         assert backend._pool is None
@@ -135,8 +141,8 @@ class TestPoolLifecycle:
     def test_atexit_reaper_tracks_live_pools(self):
         from repro.exp import backends as mod
 
-        backend = ProcessPoolBackend(2, persistent=True)
-        list(backend.map(abs, [-1, -2]))
+        backend = PoolBackend(2)
+        backend._get_pool(2)
         assert backend in mod._LIVE_POOL_BACKENDS
         assert mod._REAPER_REGISTERED
         backend.close()
@@ -144,11 +150,17 @@ class TestPoolLifecycle:
         # The reaper is safe to run with nothing registered.
         mod._atexit_reap()
 
-    def test_single_item_skips_the_pool(self):
-        backend = ProcessPoolBackend(4, persistent=True)
-        assert list(backend.map(abs, [-7])) == [7]
-        assert backend._pool is None  # nothing to parallelise: no fork
-        backend.close()
+    def test_single_item_runs_in_the_pool(self):
+        # One unit still runs on a worker — so timeouts and crash
+        # isolation apply — on a pool sized to the work.
+        backend = PoolBackend(4)
+        with GridRunner(backend=backend) as runner:
+            report = runner.sweep([TINY])
+        assert backend._pool_size == 1 and backend._pool is None
+        assert report.transfer["bytes_shipped"] > 0  # crossed the pipe
+        assert report.results[0].trace_digest == (
+            GridRunner().run([TINY])[0].trace_digest
+        )
 
 
 class TestShardedRuns:
@@ -215,11 +227,11 @@ class TestBatchBackend:
 
     def test_make_backend_and_shard_wrapping(self):
         assert isinstance(make_backend("batch"), BatchBackend)
-        assert BatchBackend().wants_scenarios
+        assert BatchBackend().grouped and BatchBackend().name == "batch"
         sharded = make_backend("batch", shard="1/2")
         assert isinstance(sharded, ShardedBackend)
-        assert sharded.wants_scenarios  # forwarded from the inner batch
-        assert not make_backend("serial", shard="1/2").wants_scenarios
+        assert sharded.inner.grouped
+        assert not make_backend("serial", shard="1/2").inner.grouped
 
     def test_group_key_ignores_caps_and_labels(self):
         sweep = self._cap_sweep()
@@ -300,12 +312,11 @@ class TestBatchPoolBackend:
 
     def test_make_backend(self):
         b = make_backend("batch-pool", workers=2)
-        assert isinstance(b, BatchPoolBackend)
-        assert isinstance(b, ProcessPoolBackend)  # inherits resilience
-        assert b.wants_scenarios and b.workers == 2
+        assert isinstance(b, PoolBackend)
+        assert b.grouped and b.workers == 2 and b.name == "batch-pool"
         sharded = make_backend("batch-pool", workers=2, shard="1/2")
         assert isinstance(sharded, ShardedBackend)
-        assert sharded.wants_scenarios
+        assert sharded.inner.grouped
 
     def test_cap_sweep_matches_serial_with_group_stats(self):
         sweep = self._cap_sweep()  # 2 seeds x 3 caps = 2 groups
@@ -329,6 +340,7 @@ class TestBatchPoolBackend:
             assert res.elapsed_seconds >= res.wall_seconds > 0
 
     def test_one_worker_delegates_to_in_process_batch(self):
+        assert isinstance(make_backend("batch-pool", workers=1), BatchBackend)
         sweep = self._cap_sweep(seeds=(5,))
         with GridRunner(backend=make_backend("batch-pool", workers=1)) as r:
             report = r.sweep(sweep)
@@ -450,6 +462,65 @@ class TestMergeHelpers:
         a = results_to_cells(GridRunner().run([TINY]))
         b = results_to_cells(GridRunner().run([TINY]))
         assert len(merge_cells([a, b])) == 1
+
+
+#: smoke scale per platform: each machine at a few dozen nodes
+SMOKE_SCALES = {"curie": 1 / 56, "fatnode": 1.0, "manythin": 0.125}
+
+
+@st.composite
+def lockstep_groups(draw):
+    """2-4 cells of one generated scenario (platform x enforcing policy
+    x seed), each capped by one window at a random start — so the
+    lockstep fork lands at a random horizon."""
+    platform = draw(st.sampled_from(sorted(SMOKE_SCALES)))
+    base = Scenario(
+        name="gen",
+        interval="medianjob",
+        policy=draw(st.sampled_from(("IDLE", "SHUT", "DVFS", "MIX"))),
+        platform=platform,
+        scale=SMOKE_SCALES[platform],
+        duration=HOUR,
+        seed=draw(st.integers(min_value=0, max_value=99)),
+    )
+    cells = []
+    for k in range(draw(st.integers(min_value=2, max_value=4))):
+        start = 60.0 * draw(st.integers(min_value=0, max_value=45))
+        length = 60.0 * draw(st.integers(min_value=5, max_value=15))
+        fraction = draw(st.integers(min_value=30, max_value=90)) / 100
+        cells.append(
+            base.with_(
+                name=f"gen-{k}",
+                caps=(CapWindow(start, start + length, fraction),),
+            )
+        )
+    return cells
+
+
+def _digests(name, cells, workers=1):
+    with GridRunner(backend=make_backend(name, workers=workers)) as runner:
+        return [r.trace_digest for r in runner.run(cells)]
+
+
+_GENERATED = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestGeneratedScenarioDigests:
+    """Backends never change a digest on generated lockstep groups,
+    not only on the 16 pinned library scenarios."""
+
+    @settings(max_examples=8, **_GENERATED)
+    @given(cells=lockstep_groups())
+    def test_serial_and_batch_agree(self, cells):
+        assert _digests("batch", cells) == _digests("serial", cells)
+
+    @pytest.mark.slow
+    @settings(max_examples=10, **_GENERATED)
+    @given(cells=lockstep_groups())
+    def test_pool_backends_agree(self, cells):
+        serial = _digests("serial", cells)
+        assert _digests("batch", cells) == serial
+        assert _digests("batch-pool", cells, workers=2) == serial
 
 
 @pytest.mark.slow

@@ -356,15 +356,15 @@ class TestWarmStartBitIdentity:
         scenarios = cap_sweep()
         baseline = self._baseline(scenarios)
         with GridRunner(
-            workers=2,
+            backend=make_backend("batch-pool", workers=2),
             store=MemoryStore(),
             checkpoints=DirectoryCheckpointStore(tmp_path / "ck"),
         ) as runner:
             rep = runner.sweep(scenarios)
         assert [r.trace_digest for r in rep.results] == baseline
-        # Wave 1: the elected publisher (1 miss, 1 publish); wave 2:
-        # every sibling fans out as a warm start.
-        assert rep.checkpoints == {"hits": 2, "misses": 1, "publishes": 1}
+        # The group's worker is its one publisher: a single probe miss
+        # and a single publish, shared by every cell of the group.
+        assert rep.checkpoints == {"hits": 0, "misses": 1, "publishes": 1}
 
     def test_memory_checkpoints_stay_out_of_pool_workers(self, tmp_path):
         # A non-shareable store would be probed as a pickled empty

@@ -9,8 +9,6 @@ accounted for in the :class:`SweepReport`.
 """
 
 import errno
-import os
-import time
 
 import pytest
 
@@ -25,10 +23,9 @@ from repro.exp import (
     InjectedCrash,
     InjectedHang,
     InjectedTransient,
-    ProcessPoolBackend,
+    PoolBackend,
     RetryPolicy,
     Scenario,
-    SerialBackend,
     SharedDirectoryStore,
     SweepError,
     TaskFailure,
@@ -93,28 +90,6 @@ def golden():
         sc.name: run_scenario(sc).trace_digest
         for sc in (TINY, TINY_B, TINY_C, TINY_CAP60, TINY_CAP40, TINY_CAP80)
     }
-
-
-# -- module-level task functions (must pickle to pool workers) ----------------------
-
-
-def _double(x, attempt=1):
-    return x * 2
-
-
-def _sleepy(seconds, attempt=1):
-    time.sleep(seconds)
-    return seconds
-
-
-def _exit_now(x):
-    os._exit(73)
-
-
-def _crash_first_attempt(x, attempt=1):
-    if attempt == 1:
-        os._exit(73)
-    return x
 
 
 class TestFaultPlanUnit:
@@ -329,16 +304,20 @@ class TestSerialChaos:
 
 
 class TestPoolChaos:
-    def test_map_tasks_plain(self):
-        with ProcessPoolBackend(2) as backend:
-            out = dict(
-                (i, v) for i, v, _r in backend.map_tasks(_double, [1, 2, 3, 4])
-            )
-        assert out == {0: 2, 1: 4, 2: 6, 3: 8}
+    def test_one_scenario_crash_is_retried_in_the_pool(self, golden):
+        # A lone cell still runs on a worker: the crash kills the
+        # worker, not the driver, and the retry recovers.
+        backend = make_backend("pool", workers=2)
+        with injected(crash_plan(TINY, kind="crash", times=1)):
+            with GridRunner(backend=backend, retry=RETRY_FAST) as r:
+                report = r.sweep([TINY])
+        assert report.ok and report.n_retries == 1
+        assert backend.n_respawns >= 1
+        assert report.results[0].trace_digest == golden["tiny-chaos"]
 
     def test_worker_crash_respawns_and_recovers(self, golden):
         plan = crash_plan(TINY_B, kind="crash")  # real os._exit in the worker
-        backend = ProcessPoolBackend(2, persistent=True)
+        backend = PoolBackend(2)
         with injected(plan):
             with GridRunner(backend=backend, retry=RETRY_FAST) as r:
                 report = r.sweep([TINY, TINY_B, TINY_C])
@@ -352,7 +331,7 @@ class TestPoolChaos:
         plan = crash_plan(TINY_B, kind="crash", times=None)
         with injected(plan):
             with GridRunner(
-                backend=ProcessPoolBackend(2), retry=RETRY_FAST,
+                backend=PoolBackend(2), retry=RETRY_FAST,
                 on_error="quarantine",
             ) as r:
                 report = r.sweep([TINY, TINY_B, TINY_C])
@@ -363,24 +342,26 @@ class TestPoolChaos:
             n: golden[n] for n in ("tiny-chaos", "tiny-chaos-c")
         }
 
-    def test_timeout_charges_only_the_hung_item(self):
-        with ProcessPoolBackend(2) as backend:
-            outcomes = {
-                i: v
-                for i, v, _r in backend.map_tasks(
-                    _sleepy, [30.0, 0.01, 0.02], retry=None, timeout=1.0
-                )
-            }
-        assert isinstance(outcomes[0], TaskFailure)
-        assert outcomes[0].kind == "timeout"
-        assert outcomes[1] == 0.01 and outcomes[2] == 0.02
+    def test_timeout_charges_only_the_hung_item(self, golden):
+        plan = crash_plan(TINY, kind="hang", times=None, hang_seconds=30.0)
+        with injected(plan):
+            with GridRunner(
+                backend=PoolBackend(2), timeout=3.0, on_error="quarantine"
+            ) as r:
+                report = r.sweep([TINY, TINY_B, TINY_C])
+        (record,) = report.failures
+        assert record.kind == "timeout"
+        assert record.scenario_hash == TINY.scenario_hash()
+        assert {x.scenario.name: x.trace_digest for x in report.results} == {
+            n: golden[n] for n in ("tiny-chaos-b", "tiny-chaos-c")
+        }
 
     @pytest.mark.slow
     def test_injected_hang_is_killed_and_retried(self, golden):
         # The worker really sleeps; the driver kills the pool at the
         # timeout, respawns, and the retry (attempt 2) runs clean.
         plan = crash_plan(TINY, kind="hang", hang_seconds=60.0)
-        backend = ProcessPoolBackend(2, persistent=True)
+        backend = PoolBackend(2)
         with injected(plan):
             with GridRunner(backend=backend, retry=RETRY_FAST, timeout=8.0) as r:
                 report = r.sweep([TINY, TINY_B])
@@ -389,45 +370,45 @@ class TestPoolChaos:
             n: golden[n] for n in ("tiny-chaos", "tiny-chaos-b")
         }
 
-    def test_close_is_idempotent_after_broken_pool(self):
-        backend = ProcessPoolBackend(2, persistent=True)
-        from concurrent.futures.process import BrokenProcessPool
-
-        with pytest.raises(BrokenProcessPool):
-            list(backend.map(_exit_now, [1, 2, 3]))
-        # The corpse was discarded on the spot...
+    def test_close_is_idempotent_after_broken_pool(self, golden):
+        backend = PoolBackend(2)
+        with injected(crash_plan(TINY_B, kind="crash")):
+            with GridRunner(backend=backend, retry=RETRY_FAST) as r:
+                assert r.sweep([TINY, TINY_B]).ok
+        assert backend.n_respawns >= 1
+        # The broken pool's successor was closed with the sweep...
         assert backend._pool is None
         # ...so close() is a no-op any number of times...
         backend.close()
         backend.close()
         # ...and the backend is usable again (fresh pool).
-        assert list(backend.map(_double, [5, 6])) == [10, 12]
-        backend.close()
+        with GridRunner(backend=backend) as r:
+            assert r.run([TINY])[0].trace_digest == golden["tiny-chaos"]
         assert backend._pool is None
 
     def test_atexit_reaper_survives_broken_pools(self):
         from repro.exp.backends import _LIVE_POOL_BACKENDS, _atexit_reap
-        from concurrent.futures.process import BrokenProcessPool
 
-        backend = ProcessPoolBackend(2, persistent=True)
-        with pytest.raises(BrokenProcessPool):
-            list(backend.map(_exit_now, [1, 2, 3]))
+        backend = PoolBackend(2)
+        with injected(crash_plan(TINY, kind="crash", times=None)):
+            with GridRunner(backend=backend, on_error="quarantine") as r:
+                assert len(r.sweep([TINY]).failures) == 1
         assert backend not in _LIVE_POOL_BACKENDS
         _atexit_reap()  # must not raise, whatever state pools are in
 
-    def test_crash_attribution_via_solo_requeue(self):
-        # Both in-flight items die with the pool; only the real
+    def test_crash_attribution_via_solo_requeue(self, golden):
+        # Both in-flight cells die with the pool; only the real
         # offender (attempt-keyed) is charged, the innocent completes.
-        with ProcessPoolBackend(2) as backend:
-            outcomes = {
-                i: v
-                for i, v, _r in backend.map_tasks(
-                    _crash_first_attempt,
-                    ["a", "b"],
-                    retry=RetryPolicy(max_attempts=2, base_delay=0.0),
-                )
-            }
-        assert outcomes == {0: "a", 1: "b"}
+        with injected(crash_plan(TINY, kind="crash")):
+            with GridRunner(
+                backend=PoolBackend(2),
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+            ) as r:
+                report = r.sweep([TINY, TINY_B])
+        assert report.ok
+        assert {x.scenario.name: x.trace_digest for x in report.results} == {
+            n: golden[n] for n in ("tiny-chaos", "tiny-chaos-b")
+        }
 
 
 class TestBatchChaos:
@@ -582,17 +563,17 @@ class TestSweepReportAndAccounting:
         }
 
     def test_dropped_results_error_names_hashes_and_backend(self):
-        class LossyBackend(SerialBackend):
+        class LossyBackend(BatchBackend):
             name = "lossy"
 
-            def map_tasks(self, fn, items, *, retry=None, timeout=None):
-                for i, outcome, retries in super().map_tasks(
-                    items=items, fn=fn, retry=retry, timeout=timeout
+            def run_scenarios(self, scenarios, **kwargs):
+                for i, outcome, retries in super().run_scenarios(
+                    scenarios, **kwargs
                 ):
                     if i != 0:  # silently drop the first item
                         yield i, outcome, retries
 
-        with GridRunner(backend=LossyBackend()) as r:
+        with GridRunner(backend=LossyBackend(grouped=False)) as r:
             with pytest.raises(SweepError) as exc_info:
                 r.sweep([TINY, TINY_B])
         message = str(exc_info.value)
@@ -647,7 +628,7 @@ class TestFullLibraryChaos:
         store = DirectoryStore(tmp_path)
         with injected(plan):
             with GridRunner(
-                backend=ProcessPoolBackend(2, persistent=True),
+                backend=PoolBackend(2),
                 store=store,
                 retry=RetryPolicy(max_attempts=3, base_delay=0.01),
                 timeout=90.0,

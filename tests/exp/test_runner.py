@@ -13,6 +13,7 @@ from repro.exp import (
     cell_from_result,
     compare_results,
     results_table,
+    result_key,
     results_to_cells,
     run_scenario,
 )
@@ -77,7 +78,7 @@ class TestCache:
         runner = GridRunner(cache_dir=tmp_path)
         first = runner.run([TINY])[0]
         assert not first.cached
-        assert (tmp_path / f"{GridRunner._cache_key(TINY)}.json").is_file()
+        assert (tmp_path / f"{result_key(TINY)}.json").is_file()
         second = runner.run([TINY])[0]
         assert second.cached
         assert second.same_outcome(first)
@@ -93,7 +94,7 @@ class TestCache:
     def test_corrupt_cache_entry_reruns(self, tmp_path):
         runner = GridRunner(cache_dir=tmp_path)
         first = runner.run([TINY])[0]
-        path = tmp_path / f"{GridRunner._cache_key(TINY)}.json"
+        path = tmp_path / f"{result_key(TINY)}.json"
         path.write_text("{not json", encoding="utf-8")
         second = runner.run([TINY])[0]
         assert not second.cached
@@ -131,7 +132,7 @@ class TestSeriesPayload:
 
         with GridRunner(cache_dir=tmp_path, series=True) as runner:
             result = runner.run([TINY])[0]
-            npz = tmp_path / f"{GridRunner._cache_key(TINY)}.npz"
+            npz = tmp_path / f"{result_key(TINY)}.npz"
             assert npz.is_file()
             series = runner.load_series(TINY)
         assert series is not None
@@ -175,7 +176,7 @@ class TestSeriesPayload:
     def test_corrupt_npz_is_a_cache_miss(self, tmp_path):
         with GridRunner(cache_dir=tmp_path, series=True) as r:
             first = r.run([TINY])[0]
-        npz = tmp_path / f"{GridRunner._cache_key(TINY)}.npz"
+        npz = tmp_path / f"{result_key(TINY)}.npz"
         npz.write_bytes(b"not a zip file")
         with GridRunner(cache_dir=tmp_path, series=True) as r:
             assert r.load_series(TINY) is None
@@ -183,29 +184,6 @@ class TestSeriesPayload:
             assert not second.cached  # re-ran and healed the payload
             assert second.trace_digest == first.trace_digest
             assert r.load_series(TINY) is not None
-
-
-class TestPersistentPool:
-    def test_pool_reused_across_runs(self, tmp_path):
-        scenarios = [TINY.with_(name=f"s{i}", seed=i) for i in range(3)]
-        with GridRunner(workers=2, cache_dir=tmp_path, persistent=True) as runner:
-            first = runner.run(scenarios[:2])
-            pool = runner._pool
-            assert pool is not None
-            second = runner.run(scenarios[2:])
-            assert runner._pool is pool  # forked once, streamed twice
-        assert runner._pool is None  # context exit closed it
-        # And the results match fresh serial runs.
-        serial = [run_scenario(sc) for sc in scenarios]
-        for got, want in zip(first + second, serial):
-            assert got.trace_digest == want.trace_digest
-
-    def test_non_persistent_matches(self, tmp_path):
-        scenarios = [TINY, TINY.with_(name="other-seed", seed=42)]
-        a = GridRunner(workers=2, persistent=False).run(scenarios)
-        with GridRunner(workers=2, persistent=True) as runner:
-            b = runner.run(scenarios)
-        assert [r.trace_digest for r in a] == [r.trace_digest for r in b]
 
 
 class TestAggregation:

@@ -1,4 +1,4 @@
-"""Zero-copy data plane: shm transport, spec cache, leak hygiene.
+"""Zero-copy data plane: shm transport, group envelopes, leak hygiene.
 
 Every test in this module runs under the leak-check fixture: the set
 of live ``/dev/shm`` segments (``rs*`` — this suite's namespace) must
@@ -14,13 +14,12 @@ import pytest
 
 from repro.exp import CapWindow, GridRunner, Scenario, make_backend
 from repro.exp import shm
+from repro.exp.checkpoints import LRUCache
 from repro.exp.shm import (
     GroupEnvelope,
     SharedArena,
     ShmAdoptError,
     ShmPayload,
-    SpecCache,
-    SpecShipper,
     TransferTally,
     arena,
 )
@@ -144,7 +143,8 @@ class TestSharedArena:
 
 class TestSpecCache:
     def test_lru_eviction_and_stats(self):
-        cache = SpecCache(maxsize=2)
+        # The fork-state cache's LRU (checkpoint restores).
+        cache = LRUCache(maxsize=2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh a
@@ -154,14 +154,6 @@ class TestSpecCache:
         assert cache.hits == 3 and cache.misses == 1
         cache.clear()
         assert len(cache) == 0 and cache.hits == cache.misses == 0
-
-    def test_seed_platform_cache(self):
-        from repro.platform import get_platform
-
-        shm.PLATFORM_CACHE.clear()
-        shm.seed_platform_cache(["curie", "curie"])
-        spec = get_platform("curie")
-        assert shm.PLATFORM_CACHE.get(spec.content_hash()) is spec
 
 
 class TestGroupEnvelope:
@@ -174,45 +166,25 @@ class TestGroupEnvelope:
             for f in (0.4, 0.5, 0.6)
         )
 
-    def _envelope(self, cells, base):
-        return GroupEnvelope(
-            group=base.scenario_hash(),
-            base=base,
-            cells=tuple((sc.name, sc.caps) for sc in cells),
-            hashes=tuple(sc.scenario_hash() for sc in cells),
-        )
-
     def test_resolve_reconstructs_cells_exactly(self):
         cells = self._cells()
-        env = self._envelope(cells, cells[0].with_(caps=()))
+        env = GroupEnvelope.pack(cells)
+        assert env.base == cells[0].with_(caps=())
         assert env.resolve() == cells
 
-    def test_hash_only_envelope_resolves_from_cache_or_misses(self):
-        cells = self._cells()
-        base = cells[0].with_(caps=())
-        shm.SCENARIO_CACHE.clear()
-        bare = self._envelope(cells, base)
-        bare = GroupEnvelope(bare.group, None, bare.cells, bare.hashes)
-        miss = bare.resolve()
-        assert shm.is_spec_miss(miss) and miss[1] == (base.scenario_hash(),)
-        # A full envelope seeds the cache; the bare one then resolves.
-        assert self._envelope(cells, base).resolve() == cells
-        assert bare.resolve() == cells
-
     def test_integrity_failure_is_loud(self):
-        cells = self._cells()
-        env = self._envelope(cells, cells[0].with_(caps=()))
+        env = GroupEnvelope.pack(self._cells())
         tampered = GroupEnvelope(
-            env.group, env.base, env.cells, ("0" * 16,) + env.hashes[1:]
+            env.base, env.cells, ("0" * 16,) + env.hashes[1:]
         )
         with pytest.raises(ValueError, match="integrity"):
             tampered.resolve()
 
     def test_envelope_is_smaller_than_full_cells(self):
-        # A paper-sized 12-cell cap sweep group: the hash-only
-        # envelope must beat the full scenario tuple, and the full
-        # task payload (platform dicts included) by a wider margin —
-        # the platform spec alone outweighs the whole compact form.
+        # A paper-sized 12-cell cap sweep group: the base once plus
+        # per-cell deltas must beat the full scenario tuple.
+        import pickle
+
         base = TINY.with_(policy="MIX", duration=2 * HOUR)
         cells = tuple(
             base.with_(
@@ -221,64 +193,22 @@ class TestGroupEnvelope:
             )
             for i in range(12)
         )
-        env = GroupEnvelope(
-            group=base.with_(caps=()).scenario_hash(),
-            base=None,
-            cells=tuple((sc.name, sc.caps) for sc in cells),
-            hashes=tuple(sc.scenario_hash() for sc in cells),
-        )
-        assert shm.pickled_size(env) < shm.pickled_size(cells)
-        from repro.platform import get_platform
-
-        spec = get_platform(base.platform)
-        full_task = (cells, ((spec.content_hash(), spec.to_dict()),))
-        compact_task = (env, ((spec.content_hash(), None),))
-        assert shm.pickled_size(compact_task) < shm.pickled_size(full_task) / 2
-
-
-class TestSpecShipper:
-    def test_full_once_then_hashes(self):
-        shipper = SpecShipper(compact=True)
-        first = shipper.platform_payload([TINY])
-        assert all(d is not None for _, d in first)
-        second = shipper.platform_payload([TINY])
-        assert all(d is None for _, d in second)
-        # full=True re-ships regardless; a miss invalidates.
-        assert all(d is not None for _, d in shipper.platform_payload([TINY], full=True))
-        shipper.invalidate([h for h, _ in first])
-        assert all(d is not None for _, d in shipper.platform_payload([TINY]))
-
-    def test_non_compact_always_ships_full(self):
-        shipper = SpecShipper(compact=False)
-        for _ in range(2):
-            assert all(
-                d is not None for _, d in shipper.platform_payload([TINY])
-            )
-
-    def test_group_base_ships_once_and_seeds_cache(self):
-        shipper = SpecShipper(compact=True)
-        base = TINY.with_(caps=())
-        group = base.scenario_hash()
-        shm.SCENARIO_CACHE.clear()
-        assert shipper.group_base(base, group) is base
-        assert shipper.group_base(base, group) is None
-        assert shm.SCENARIO_CACHE.get(group) is base
+        env = GroupEnvelope.pack(cells)
+        assert len(pickle.dumps(env)) < len(pickle.dumps(cells))
 
 
 class TestTransferTally:
     def test_add_bool_and_dict(self):
         t = TransferTally()
         assert not t
-        t.add({"bytes_shipped": 10, "spec_hits": 2, "unknown": 5})
+        t.add({"bytes_shipped": 10, "fallbacks": 2, "unknown": 5})
         u = TransferTally(bytes_shared=7, segments=1)
         u.add(t)
         assert u.to_dict() == {
             "bytes_shipped": 10,
             "bytes_shared": 7,
             "segments": 1,
-            "spec_hits": 2,
-            "spec_misses": 0,
-            "fallbacks": 0,
+            "fallbacks": 2,
         }
         assert u
 
@@ -298,32 +228,20 @@ class TestTransferTally:
                 "bytes_shipped": 1000,
                 "bytes_shared": 5_000_000,
                 "segments": 3,
-                "spec_hits": 9,
-                "spec_misses": 1,
                 "fallbacks": 2,
             }
         )
         assert "1.0 KB shipped" in text
         assert "5.0 MB shm (3 seg)" in text
-        assert "spec-cache 9/10 hit(s)" in text
         assert "2 pickle fallback(s)" in text
 
 
 class TestEnvelopeReport:
     def test_plan_lines(self):
-        cells = [
-            TINY.with_(
-                name=f"c{f}",
-                policy="MIX",
-                caps=(CapWindow(900.0, 1800.0, f),),
-            )
-            for f in (0.4, 0.6)
-        ]
-        lines = shm.envelope_report(cells, [[0, 1]])
-        assert lines[0].startswith("data plane: shm array transport ")
-        assert "1 group(s)" in lines[1] and "compact" in lines[1]
-        # No groups: only the status line.
-        assert len(shm.envelope_report(cells, [])) == 1
+        line = shm.status_line()
+        assert line.startswith("data plane: shm array transport ")
+        shm.set_shm_enabled(False)
+        assert "off (pickle fallback)" in shm.status_line()
 
 
 @needs_shm
@@ -379,31 +297,6 @@ class TestDataPlaneEndToEnd:
                 stores["on"].get(key).trace_digest
                 == stores["off"].get(key).trace_digest
             )
-
-    def test_compact_envelopes_report_spec_hits(self):
-        from repro.exp import MemoryStore
-
-        base = TINY.with_(policy="MIX", duration=HOUR)
-        cells = [
-            base.with_(
-                name=f"{seed}-{f}",
-                seed=seed,
-                caps=(CapWindow(900.0, 1800.0, f),),
-            )
-            for seed in (1, 2)
-            for f in (0.4, 0.6)
-        ]
-        backend = make_backend("batch-pool", workers=2)
-        assert backend.supports_spec_cache
-        assert backend.transport_prefix
-        with GridRunner(backend=backend, store=MemoryStore()) as runner:
-            report = runner.sweep(cells)
-        assert not report.failures
-        # Two groups: the second rides a hash-only platform entry that
-        # the forked worker resolves from its inherited cache.
-        assert report.transfer["spec_hits"] >= 1
-        assert report.transfer["spec_misses"] == 0
-        assert report.transfer["bytes_shipped"] > 0
 
     def test_fork_state_nbytes(self):
         from repro.sim.batch import fork_state_nbytes
