@@ -585,23 +585,23 @@ def test_perf_transfer_shm_series(benchmark):
 
 def test_perf_backend_sharded_merge(benchmark, tmp_path):
     from repro.exp import (
+        DirectoryStore,
         GridRunner,
-        SharedDirectoryStore,
         make_backend,
         render_results_grid,
     )
 
     scenarios = _backend_sweep_scenarios()
-    # Untimed setup: two shard jobs fill one shared store.
+    # Untimed setup: two shard jobs fill one store.
     for k in range(2):
         with GridRunner(
             backend=make_backend("serial", shard=(k, 2)),
-            store=SharedDirectoryStore(tmp_path),
+            store=DirectoryStore(tmp_path),
         ) as runner:
             runner.run(scenarios)
 
     def merge_pass():
-        with GridRunner(store=SharedDirectoryStore(tmp_path)) as runner:
+        with GridRunner(store=DirectoryStore(tmp_path)) as runner:
             results = runner.run(scenarios)
         assert all(r.cached for r in results)
         return render_results_grid(results)

@@ -16,7 +16,8 @@ Subcommands:
     through a pluggable execution backend (``--backend
     serial|pool|batch``,
     ``--shard k/n`` for one deterministic slice of a split sweep) and
-    result store (``--store memory|dir:PATH|shared:PATH``);
+    result store (``--store memory|dir:PATH``; ``shared:PATH`` is a
+    synonym of ``dir:PATH``);
   * ``exp compare``  — metric-by-metric diff of two scenarios;
   * ``exp store prune`` — evict result-store entries over a
     count/age budget (``--max-entries/--max-age/--lru``);
@@ -235,15 +236,17 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
                         "running the other shards against one shared store "
                         "reassemble the full sweep")
     p.add_argument("--store", default=None, metavar="SPEC",
-                   help="result store: memory, dir:PATH (local cache "
-                        "directory) or shared:PATH (safe for concurrent "
-                        "writers, e.g. on a network filesystem)")
+                   help="result store: memory, or a directory as dir:PATH "
+                        "(shared:PATH and a bare path are synonyms); one "
+                        "directory is safe for concurrent writers, also "
+                        "across machines on a network filesystem")
     p.add_argument("--cache-dir", default=None,
                    help="per-scenario result cache directory "
                         "(shorthand for --store dir:PATH)")
     p.add_argument("--checkpoints", default=None, metavar="SPEC",
                    help="persistent warm-start checkpoint store: a "
-                        "directory path, dir:PATH, or shared:PATH; cap-"
+                        "directory as PATH or dir:PATH (shared:PATH is a "
+                        "synonym), safe for concurrent writers; cap-"
                         "sweep prefixes computed once are restored by "
                         "every later run pointing at the same store, "
                         "across backends and machines")
@@ -490,7 +493,7 @@ def cmd_exp_checkpoints_list(args: argparse.Namespace) -> int:
         hz = f"{horizon:.0f}s" if horizon is not None else "?"
         size = 0
         age = "?"
-        for path in (store._json_path(key), store._npz_path(key)):
+        for path in (store._path(key, s) for s in store._suffixes):
             try:
                 st = path.stat()
             except OSError:
@@ -832,7 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict store entries beyond a size and/or age budget",
     )
     p.add_argument("--store", default=None, metavar="SPEC",
-                   help="result store to prune: dir:PATH or shared:PATH")
+                   help="result store to prune: dir:PATH (shared:PATH is "
+                        "a synonym)")
     p.add_argument("--cache-dir", default=None,
                    help="shorthand for --store dir:PATH")
     _add_prune_budget_args(p)
@@ -846,16 +850,16 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list stored warm-start checkpoints"
     )
     p.add_argument("--checkpoints", required=True, metavar="SPEC",
-                   help="checkpoint store: a directory path, dir:PATH, or "
-                        "shared:PATH")
+                   help="checkpoint store: a directory as PATH or "
+                        "dir:PATH (shared:PATH is a synonym)")
     p.set_defaults(func=cmd_exp_checkpoints_list)
     p = ckpt_sub.add_parser(
         "prune",
         help="evict checkpoints beyond a size and/or age budget",
     )
     p.add_argument("--checkpoints", required=True, metavar="SPEC",
-                   help="checkpoint store: a directory path, dir:PATH, or "
-                        "shared:PATH")
+                   help="checkpoint store: a directory as PATH or "
+                        "dir:PATH (shared:PATH is a synonym)")
     _add_prune_budget_args(p)
     p.set_defaults(func=cmd_exp_checkpoints_prune)
 
@@ -864,7 +868,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="list (or clear) persisted per-scenario failure records",
     )
     p.add_argument("--store", default=None, metavar="SPEC",
-                   help="result store to inspect: dir:PATH or shared:PATH")
+                   help="result store to inspect: dir:PATH (shared:PATH "
+                        "is a synonym)")
     p.add_argument("--cache-dir", default=None,
                    help="shorthand for --store dir:PATH")
     p.add_argument("--clear", action="store_true",

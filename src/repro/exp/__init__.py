@@ -12,14 +12,16 @@ The subsystem behind ``repro exp run/list/compare``:
   same-platform scenarios, or one shard of a split sweep
   (:class:`ShardedBackend`) (:mod:`repro.exp.backends`);
 * :class:`ResultStore` — where results persist: an in-memory memo
-  (:class:`MemoryStore`), a local JSON/``.npz`` directory
-  (:class:`DirectoryStore`), or a shared directory safe for
-  concurrent writers (:class:`SharedDirectoryStore`)
+  (:class:`MemoryStore`) or one JSON/``.npz`` directory
+  (:class:`DirectoryStore`) that concurrent writers — threads,
+  processes, machines on a network filesystem — may share; the
+  ``dir:PATH`` and ``shared:PATH`` specs both name it
   (:mod:`repro.exp.store`);
 * :class:`CheckpointStore` — persistent content-addressed warm-start
   prefixes: the lockstep fork state as a durable artifact, restored
-  bit-identically across runs, backends, and machines
-  (:mod:`repro.exp.checkpoints`);
+  bit-identically across runs, backends, and machines, in memory or
+  in a :class:`DirectoryCheckpointStore` on the same file layer as
+  :class:`DirectoryStore` (:mod:`repro.exp.checkpoints`);
 * :func:`run_scenario` / :class:`GridRunner` — pure orchestration:
   dedupe → store lookup → backend submit → store write → aggregate
   (:mod:`repro.exp.runner`);
@@ -81,7 +83,6 @@ from repro.exp.store import (
     DirectoryStore,
     MemoryStore,
     ResultStore,
-    SharedDirectoryStore,
     StoreHealth,
     make_store,
     result_key,
@@ -91,7 +92,6 @@ from repro.exp.checkpoints import (
     CheckpointTally,
     DirectoryCheckpointStore,
     MemoryCheckpointStore,
-    SharedCheckpointStore,
     WarmStart,
     checkpoint_group,
     checkpoint_key,
@@ -151,7 +151,6 @@ __all__ = [
     "ResultStore",
     "MemoryStore",
     "DirectoryStore",
-    "SharedDirectoryStore",
     "StoreHealth",
     "make_store",
     "result_key",
@@ -159,7 +158,6 @@ __all__ = [
     "CheckpointTally",
     "MemoryCheckpointStore",
     "DirectoryCheckpointStore",
-    "SharedCheckpointStore",
     "WarmStart",
     "checkpoint_group",
     "checkpoint_key",

@@ -51,20 +51,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
-import socket
-import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import count
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.exp.store import TRANSIENT_ERRNOS, StoreHealth, _prune_files
+from repro.exp.store import (
+    StoreHealth,
+    _FileLayer,
+    _npz_bytes,
+    _prune_memory,
+    _spec_root,
+)
 from repro.sim.batch import FORK_STATE_VERSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -255,100 +255,27 @@ class MemoryCheckpointStore(CheckpointStore):
         max_age: float | None = None,
         lru: bool = False,
     ) -> list[str]:
-        if max_age is not None:
-            raise ValueError("memory checkpoint store does not track entry age")
-        if max_entries is None or max_entries < 0:
-            raise ValueError("max_entries must be >= 0")
-        evict = max(0, len(self._entries) - max_entries)
-        removed = list(self._entries)[:evict]  # dicts keep insertion order
-        for key in removed:
-            del self._entries[key]
-        return removed
+        return _prune_memory(self._entries, max_entries, max_age, lru)
 
 
-class DirectoryCheckpointStore(CheckpointStore):
-    """Local checkpoint directory: ``<dir>/<key>.json`` + ``<key>.npz``.
+class DirectoryCheckpointStore(_FileLayer, CheckpointStore):
+    """A checkpoint directory: ``<dir>/<key>.json`` + ``<key>.npz``.
 
-    Mirrors :class:`repro.exp.store.DirectoryStore`: atomic temp-file
-    writes, loud discard of corrupt entries (both halves of the pair
-    go together), silent miss on schema staleness, mtime/atime-ordered
-    pruning.
+    It stands on the same file layer as
+    :class:`repro.exp.store.DirectoryStore`, so any number of
+    publishers may share one directory (``dir:PATH``, ``shared:PATH``
+    and a bare path all build this class).  An unreadable checkpoint
+    is discarded loudly, both halves of the pair together; a schema
+    mismatch is a silent miss.  An existing key is never overwritten:
+    a fork state is a pure function of its key.
     """
 
     shareable = True
-
-    _write_attempts = 1
-    _retry_delay = 0.05
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-
-    # -- paths ------------------------------------------------------------------------
-
-    def _json_path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def _npz_path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
-
-    def _tmp_name(self, key: str, suffix: str) -> str:
-        return f"{key}.tmp.{os.getpid()}{suffix}"
-
-    # -- write machinery (mirrors DirectoryStore) --------------------------------------
-
-    def _discard(self, key: str, reason: Exception) -> None:
-        """Drop both halves of an unreadable checkpoint, loudly: the
-        caller cold-starts and re-publishes."""
-        self.health.discarded += 1
-        warnings.warn(
-            f"discarding corrupt checkpoint {self._json_path(key)}: {reason!r}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        for path in (self._json_path(key), self._npz_path(key)):
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - races with other healers
-                pass
-
-    def _guarded_write(self, label: str, write) -> None:
-        attempts = self._write_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                return write()
-            except OSError as exc:
-                transient = exc.errno in TRANSIENT_ERRNOS
-                if transient and attempt < attempts:
-                    self.health.retried_writes += 1
-                    time.sleep(self._retry_delay * 2 ** (attempt - 1))
-                    continue
-                if transient and attempts > 1:
-                    self.health.failed_writes += 1
-                    warnings.warn(
-                        f"abandoning checkpoint write {label}: {exc!r} "
-                        f"(after {attempts} attempts; the prefix will be "
-                        "replayed cold on demand)",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-                    return
-                raise
-
-    def _replace(self, tmp: Path, path: Path) -> None:
-        os.replace(tmp, path)  # atomic: concurrent writers race benignly
-
-    def _touch(self, path: Path) -> None:
-        """Bump the access time (LRU pruning) without moving mtime."""
-        try:
-            st = path.stat()
-            os.utime(path, times=(time.time(), st.st_mtime))
-        except OSError:  # pragma: no cover - read-only or raced store
-            pass
-
-    # -- read/write --------------------------------------------------------------------
+    _key_re = _CKPT_KEY_RE
+    _noun = "checkpoint"
 
     def get(self, key: str) -> dict | None:
-        jpath = self._json_path(key)
+        jpath, npath = self._path(key), self._path(key, ".npz")
         if not jpath.is_file():
             return None
         # Fork states are content-addressed, so a cached entry can
@@ -362,13 +289,15 @@ class DirectoryCheckpointStore(CheckpointStore):
         if cached is not None and self._npz_sig(key) == cached["sig"]:
             self._touch(jpath)
             return {"meta": dict(cached["meta"]), "arrays": dict(cached["arrays"])}
+        wrapper = self._read_json(jpath, npath)
+        if wrapper is None:
+            return None
         try:
-            wrapper = json.loads(jpath.read_text(encoding="utf-8"))
             schema = wrapper["schema"]
             group = wrapper["group"]
             meta = wrapper["meta"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            self._discard(key, exc)
+        except (KeyError, TypeError) as exc:
+            self._discard(exc, jpath, npath)
             return None
         if schema != CHECKPOINT_SCHEMA:
             return None  # wrapper-schema bump is expected staleness
@@ -379,13 +308,15 @@ class DirectoryCheckpointStore(CheckpointStore):
         if not key.startswith(f"{group}-h") or not key.endswith(
             horizon_tag(float.fromhex(meta["horizon"]))
         ):
-            self._discard(key, ValueError("stored checkpoint does not match key"))
+            self._discard(
+                ValueError("stored checkpoint does not match key"), jpath, npath
+            )
             return None
         try:
-            with np.load(self._npz_path(key)) as z:
+            with np.load(npath) as z:
                 arrays = {name: z[name] for name in z.files}
         except Exception as exc:
-            self._discard(key, exc)
+            self._discard(exc, jpath, npath)
             return None
         self._touch(jpath)
         # Memoise the loaded state (read-only arrays shared between
@@ -403,61 +334,35 @@ class DirectoryCheckpointStore(CheckpointStore):
         """Cheap change detector for the cached fork state: the
         ``.npz``'s ``(mtime_ns, size)``, ``None`` when unreadable."""
         try:
-            st = self._npz_path(key).stat()
+            st = self._path(key, ".npz").stat()
         except OSError:
             return None
         return (st.st_mtime_ns, st.st_size)
 
     def put(self, group: str, horizon: float, state: dict) -> str:
         key = checkpoint_key(group, horizon)
+        if self.has(key):
+            return key
         wrapper = {
             "schema": CHECKPOINT_SCHEMA,
             "group": group,
             "horizon": float(horizon).hex(),
             "meta": state["meta"],
         }
-        payload = json.dumps(wrapper, allow_nan=False)
+        payload = json.dumps(wrapper, allow_nan=False).encode()
         # Arrays first, JSON second: the JSON is the commit point, so
         # a torn pair is invisible rather than half-readable.
-        self._guarded_write(
-            f"{key}.npz", lambda: self._write_npz(key, state["arrays"])
-        )
-        self._guarded_write(
-            f"{key}.json", lambda: self._write_text(key, payload)
-        )
+        if self._write(self._path(key, ".npz"), _npz_bytes(state["arrays"])):
+            self._write(self._path(key), payload)
         return key
 
-    def _write_npz(self, key: str, arrays: Mapping[str, np.ndarray]) -> None:
-        path = self._npz_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / self._tmp_name(key, ".npz")
-        try:
-            np.savez_compressed(tmp, **arrays)
-            self._replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    def _write_text(self, key: str, payload: str) -> None:
-        path = self._json_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / self._tmp_name(key, ".json")
-        try:
-            tmp.write_text(payload, encoding="utf-8")
-            self._replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
-
     def has(self, key: str) -> bool:
-        return self._json_path(key).is_file()
+        return self._path(key).is_file()
 
     def _peek_horizon(self, key: str) -> float | None:
         """The stored horizon, from the JSON wrapper only (no arrays)."""
         try:
-            wrapper = json.loads(
-                self._json_path(key).read_text(encoding="utf-8")
-            )
+            wrapper = json.loads(self._path(key).read_text(encoding="utf-8"))
             if wrapper["schema"] != CHECKPOINT_SCHEMA:
                 return None
             return float.fromhex(wrapper["horizon"])
@@ -480,86 +385,6 @@ class DirectoryCheckpointStore(CheckpointStore):
             if state is not None:
                 return state
         return None
-
-    def keys(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.stem
-            for p in self.root.rglob("*.json")
-            if _CKPT_KEY_RE.fullmatch(p.stem)
-        )
-
-    def prune(
-        self,
-        max_entries: int | None = None,
-        *,
-        max_age: float | None = None,
-        lru: bool = False,
-    ) -> list[str]:
-        """Evict checkpoints by count and/or age.
-
-        ``max_entries`` keeps at most that many entries (oldest out
-        first); ``max_age`` evicts every entry older than that many
-        seconds.  Age and eviction order use the JSON file's mtime
-        (least recently *written*), or its atime with ``lru=True``
-        (least recently *restored* — reads bump the access time).
-        """
-        return _prune_files(
-            self,
-            [(key, (self._json_path(key), self._npz_path(key))) for key in self.keys()],
-            max_entries=max_entries,
-            max_age=max_age,
-            lru=lru,
-        )
-
-    def _evicted(self, key: str) -> None:
-        """Hook run after ``key``'s files are unlinked by :meth:`prune`."""
-
-
-class SharedCheckpointStore(DirectoryCheckpointStore):
-    """A checkpoint store safe for concurrent writers across machines.
-
-    Same hardening as :class:`repro.exp.store.SharedDirectoryStore`:
-    two-level key fan-out, collision-free temp names, fsync before the
-    atomic rename, first-writer-wins (fork states are a pure function
-    of the checkpoint key, so concurrent publishers produce identical
-    bytes and the second write is skipped), and transient-``OSError``
-    retry with bounded backoff.
-    """
-
-    _seq = count()
-    _write_attempts = 4
-
-    def _json_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def _npz_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npz"
-
-    def _tmp_name(self, key: str, suffix: str) -> str:
-        host = socket.gethostname() or "host"
-        return f"{key}.tmp.{host}.{os.getpid()}.{next(self._seq)}{suffix}"
-
-    def put(self, group: str, horizon: float, state: dict) -> str:
-        key = checkpoint_key(group, horizon)
-        if self._json_path(key).is_file():
-            return key
-        return super().put(group, horizon, state)
-
-    def _replace(self, tmp: Path, path: Path) -> None:
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-
-    def _evicted(self, key: str) -> None:
-        try:
-            (self.root / key[:2]).rmdir()
-        except OSError:
-            pass
 
 
 class WarmStart:
@@ -601,26 +426,10 @@ class WarmStart:
 def make_checkpoint_store(spec: str) -> CheckpointStore:
     """Build a checkpoint store from a CLI-style spec string.
 
-    ``memory`` — in-process memo; ``dir:PATH`` — local directory;
-    ``shared:PATH`` — shared directory safe for concurrent writers.  A
-    bare path is shorthand for ``dir:PATH``.
+    ``memory`` — in-process memo; ``dir:PATH``, ``shared:PATH`` or a
+    bare path — a :class:`DirectoryCheckpointStore` at that path.
     """
-    kind, sep, arg = spec.partition(":")
-    if not sep and kind not in ("memory", "dir", "shared"):
-        kind, arg = "dir", spec
-    if kind == "memory":
-        if arg:
-            raise ValueError("memory checkpoint store takes no argument")
+    root = _spec_root(spec, "checkpoint store")
+    if root is None:
         return MemoryCheckpointStore()
-    if kind == "dir":
-        if not arg:
-            raise ValueError("dir checkpoint store needs a path: dir:PATH")
-        return DirectoryCheckpointStore(arg)
-    if kind == "shared":
-        if not arg:
-            raise ValueError("shared checkpoint store needs a path: shared:PATH")
-        return SharedCheckpointStore(arg)
-    raise ValueError(
-        f"unknown checkpoint store spec {spec!r}; "
-        "expected memory, dir:PATH or shared:PATH"
-    )
+    return DirectoryCheckpointStore(root)

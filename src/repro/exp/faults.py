@@ -13,8 +13,8 @@ arms the harness-wide injection points:
   hard exit would take the whole harness down) the same plan raises
   :class:`InjectedCrash` / :class:`InjectedHang` instead — observable,
   classifiable stand-ins for the unrecoverable thing;
-* :func:`mangle_payload` / :func:`maybe_truncate` — called by the
-  directory stores on every write.  A ``corrupt`` fault truncates the
+* :func:`mangle_payload` — called by the directory result store on
+  every result and series write.  A ``corrupt`` fault truncates the
   serialised payload mid-write, modelling a torn write on a network
   filesystem; the store's corrupt-entry healing discards it on the
   next read and the runner recomputes.
@@ -328,16 +328,9 @@ def _take_corrupt(key: str) -> bool:
     return True
 
 
-def mangle_payload(key: str, payload: str) -> str:
-    """Torn-write injection point for text payloads (store JSON)."""
+def mangle_payload(key: str, payload: bytes) -> bytes:
+    """Torn-write injection point for serialised store payloads (the
+    result JSON and the series ``.npz``)."""
     if _take_corrupt(key):
         return payload[: max(1, len(payload) // 2)]
     return payload
-
-
-def maybe_truncate(key: str, path: Path | str) -> None:
-    """Torn-write injection point for binary payloads (``.npz``)."""
-    if _take_corrupt(key):
-        path = Path(path)
-        data = path.read_bytes()
-        path.write_bytes(data[: max(1, len(data) // 2)])

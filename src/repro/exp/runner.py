@@ -679,11 +679,11 @@ class GridRunner:
     cache_dir:
         Shorthand for ``store=DirectoryStore(cache_dir)``: each
         finished scenario is written to
-        ``<cache_dir>/<scenario_hash>-<platform_hash>.json`` (the key
-        covers the scenario *and* the registered platform content)
-        and later runs of the same content skip straight to the
-        stored result.  Mutually exclusive with an explicit ``store``
-        (passing both raises).
+        ``<cache_dir>/<scenario16>-<platform8>-<policy8>.json`` (the
+        key covers the scenario *and* the registered platform and
+        policy content) and later runs of the same content skip
+        straight to the stored result.  Mutually exclusive with an
+        explicit ``store`` (passing both raises).
     mp_context:
         ``multiprocessing`` start method of the shorthand pool backend
         (see :class:`~repro.exp.backends.PoolBackend`).
@@ -709,7 +709,10 @@ class GridRunner:
         :func:`~repro.exp.store.make_store` for the CLI specs.
         Default: a :class:`~repro.exp.store.DirectoryStore` when
         ``cache_dir`` is set, an in-process
-        :class:`~repro.exp.store.MemoryStore` otherwise.
+        :class:`~repro.exp.store.MemoryStore` otherwise.  One
+        directory store serves any number of concurrent runners,
+        local or on other machines (``dir:PATH`` and ``shared:PATH``
+        build the same class).
     retry:
         :class:`~repro.exp.resilience.RetryPolicy` applied per
         scenario by the backend.  ``None`` (default) means one

@@ -2,45 +2,48 @@
 
 A :class:`ResultStore` keeps condensed :class:`~repro.exp.runner.RunResult`
 payloads (and optionally their Figure 6/7 ``.npz`` series) under
-**content-addressed keys**: :func:`result_key` derives the key from the
-scenario content hash plus the registered platform spec's content hash,
-so a stored entry is valid exactly as long as *what it describes* is
-unchanged — renaming a scenario hits, editing it (or replacing the
+**content-addressed keys**: :func:`result_key` derives the key
+``<scenario16>-<platform8>-<policy8>`` from the scenario content hash,
+the registered platform spec's content hash and the policy's content
+hash, so a stored entry is valid exactly as long as *what it describes*
+is unchanged — renaming a scenario hits, editing it (or replacing the
 platform it runs on) misses.
 
-Three implementations ship:
+Two implementations ship:
 
 * :class:`MemoryStore` — the in-process memo (no persistence, no
   series); the default when a :class:`~repro.exp.runner.GridRunner`
   has no cache directory, so repeated ``run()`` calls on one runner
   never replay a scenario twice;
-* :class:`DirectoryStore` — the local JSON/``.npz`` directory cache
-  (one flat directory, atomic writes, self-healing on corrupt
-  entries);
-* :class:`SharedDirectoryStore` — a shared directory safe for
-  **concurrent writers on a network filesystem**: two-level key
-  fan-out, collision-free temp names (host + pid + counter), fsync
-  before the atomic rename, and first-writer-wins semantics (replays
-  are deterministic, so concurrent writers produce identical bytes
-  and skipping the second write is sound).
+* :class:`DirectoryStore` — a JSON/``.npz`` directory that any number
+  of writers may share: threads, processes, and machines on a network
+  filesystem.  ``dir:PATH``, ``shared:PATH`` and a bare path all name
+  it.
 
-Any unreadable entry — truncated JSON from a killed worker, a
-corrupted zip — is **discarded with a warning naming the path** and
-recomputed; a stale-but-wellformed mismatch (schema bump, different
-series resolution, replaced platform) is silently treated as a miss.
+:class:`DirectoryStore` and
+:class:`~repro.exp.checkpoints.DirectoryCheckpointStore` stand on one
+file layer (:class:`_FileLayer`): flat ``<root>/<key><suffix>`` files,
+temp names unique per host, process and write, fsync before the
+atomic rename, a bounded retry of transient ``OSError``s, and a loud
+discard of unreadable files.  Any unreadable entry — truncated JSON
+from a killed worker, a corrupted zip — is **discarded with a warning
+naming the path** and recomputed; a stale-but-wellformed mismatch
+(schema bump, different series resolution, replaced platform) is
+silently treated as a miss.
 """
 
 from __future__ import annotations
 
 import copy
 import errno
+import io
 import json
 import os
 import re
 import socket
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -74,6 +77,11 @@ TRANSIENT_ERRNOS = frozenset(
     if e is not None
 )
 
+#: attempts per file write before a transient ``OSError`` abandons it
+_WRITE_ATTEMPTS = 4
+#: backoff before the first write retry, seconds (doubles per retry)
+_RETRY_DELAY = 0.05
+
 
 @dataclass
 class StoreHealth:
@@ -102,52 +110,201 @@ class StoreHealth:
 _KEY_RE = re.compile(r"[0-9a-f]{16}-[0-9a-f]{8}-[0-9a-f]{8}")
 
 
-def _prune_files(
-    store,
-    entries: list[tuple[str, tuple[Path, ...]]],
-    *,
-    max_entries: int | None,
-    max_age: float | None,
-    lru: bool,
-) -> list[str]:
-    """Shared count/age/LRU eviction over per-key file tuples.
-
-    The first path of each tuple orders the entry (its mtime, or atime
-    with ``lru``); ties break on the key so concurrent pruners agree.
-    An entry is evicted when it exceeds the count budget *or* the age
-    budget — the union, so both constraints hold afterwards.
-    """
+def _check_budget(max_entries: int | None, max_age: float | None) -> None:
+    """The argument check every store's ``prune`` shares."""
     if max_entries is None and max_age is None:
         raise ValueError("prune needs max_entries and/or max_age")
     if max_entries is not None and max_entries < 0:
         raise ValueError("max_entries must be >= 0")
     if max_age is not None and max_age < 0:
         raise ValueError("max_age must be >= 0")
-    now = time.time()
-    ordered: list[tuple[float, str, tuple[Path, ...]]] = []
-    for key, paths in entries:
+
+
+def _prune_memory(
+    entries: dict,
+    max_entries: int | None,
+    max_age: float | None,
+    lru: bool,
+) -> list[str]:
+    """Count-budget eviction for the memory stores, oldest write first
+    (``entries`` is a dict, so it keeps write order)."""
+    if max_age is not None or lru:
+        raise ValueError(
+            "memory stores keep no timestamps; age/LRU pruning needs "
+            "a directory store"
+        )
+    _check_budget(max_entries, max_age)
+    removed = list(entries)[: max(0, len(entries) - max_entries)]
+    for key in removed:
+        del entries[key]
+    return removed
+
+
+def _npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
+    """A compressed ``.npz`` archive of ``arrays``, in memory."""
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **arrays)
+    return buf.getvalue()
+
+
+class _FileLayer:
+    """The on-disk half of both directory stores.
+
+    An entry is a JSON document ``<root>/<key>.json`` — its commit
+    file, which orders and ages it for pruning — plus an optional
+    ``<root>/<key>.npz`` of arrays.  A subclass names its key pattern
+    and a noun for warnings.
+
+    Every write goes to a temp file ``<name>.tmp.<host>.<pid>.<seq>``
+    — unique per machine, process and write, so concurrent writers of
+    one key never share one — which is fsynced before the atomic
+    ``os.replace``: a reader, on this machine or another network
+    filesystem client, sees the old file or the whole new one, never a
+    torn or unflushed one.
+    """
+
+    #: full-match pattern of this store's keys: stray files, temp
+    #: litter and other kinds of file never surface as keys
+    _key_re: re.Pattern
+    #: suffixes of one entry's files; the first is its commit file
+    _suffixes = (".json", ".npz")
+    #: what one entry is called in warnings
+    _noun: str
+    _seq = count()
+
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+
+    def _path(self, key: str, suffix: str = ".json") -> Path:
+        return self.root / f"{key}{suffix}"
+
+    def _write(self, path: Path, data: bytes) -> bool:
+        """Write ``data`` to ``path`` atomically and durably.
+
+        Transient ``OSError``s (stale NFS handles, EAGAIN, a full disk
+        mid-cleanup) are retried with bounded backoff.  With the
+        budget spent the write is **abandoned with a warning and a
+        tally** rather than propagated: the caller still holds the
+        value in memory, so losing the file must not lose the sweep.
+        Other errors (permissions, a missing mount) propagate.
+        Returns whether the file landed.
+        """
+        host = socket.gethostname() or "host"
+        for attempt in range(1, _WRITE_ATTEMPTS + 1):
+            tmp = path.with_name(
+                f"{path.name}.tmp.{host}.{os.getpid()}.{next(self._seq)}"
+            )
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                with open(tmp, "wb") as f:
+                    f.write(data)
+                    f.flush()
+                    os.fsync(f.fileno())
+                os.replace(tmp, path)
+                return True
+            except OSError as exc:
+                tmp.unlink(missing_ok=True)
+                if exc.errno not in TRANSIENT_ERRNOS:
+                    raise
+                error = exc
+            if attempt < _WRITE_ATTEMPTS:
+                self.health.retried_writes += 1
+                time.sleep(_RETRY_DELAY * 2 ** (attempt - 1))
+        self.health.failed_writes += 1
+        warnings.warn(
+            f"abandoning {self._noun} write {path}: {error!r} (after "
+            f"{_WRITE_ATTEMPTS} attempts; it will be recomputed on demand)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return False
+
+    def _read_json(self, path: Path, *with_files: Path):
+        """The parsed JSON document at ``path``, or ``None`` when it is
+        absent or unreadable — an unreadable one is discarded loudly,
+        together with ``with_files``."""
         try:
-            st = paths[0].stat()
-        except OSError:  # pragma: no cover - raced with another pruner
-            continue
-        ordered.append((st.st_atime if lru else st.st_mtime, key, paths))
-    ordered.sort(key=lambda e: (e[0], e[1]))
-    n_over = (
-        0 if max_entries is None else max(0, len(ordered) - max_entries)
-    )
-    cutoff = None if max_age is None else now - max_age
-    removed: list[str] = []
-    for i, (ts, key, paths) in enumerate(ordered):
-        if i >= n_over and (cutoff is None or ts >= cutoff):
-            continue
+            return json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:
+            self._discard(exc, path, *with_files)
+            return None
+
+    def _discard(self, reason: Exception, *paths: Path) -> None:
+        """Drop an unreadable entry's files, loudly: the caller
+        recomputes it."""
+        self.health.discarded += 1
+        warnings.warn(
+            f"discarding corrupt {self._noun} {paths[0]}: {reason!r}",
+            RuntimeWarning,
+            stacklevel=4,
+        )
         for path in paths:
             try:
                 path.unlink()
-            except FileNotFoundError:
+            except OSError:  # pragma: no cover - races with other healers
                 pass
-        store._evicted(key)
-        removed.append(key)
-    return removed
+
+    @staticmethod
+    def _touch(path: Path) -> None:
+        """Bump the access time (LRU pruning) without moving mtime."""
+        try:
+            os.utime(path, ns=(time.time_ns(), path.stat().st_mtime_ns))
+        except OSError:  # pragma: no cover - read-only or raced store
+            pass
+
+    def _keys(self, suffix: str) -> list[str]:
+        """Keys of the well-formed ``<key><suffix>`` files in the root."""
+        if not self.root.is_dir():
+            return []
+        n = len(suffix)
+        return sorted(
+            p.name[:-n]
+            for p in self.root.glob(f"*{suffix}")
+            if self._key_re.fullmatch(p.name[:-n])
+        )
+
+    def keys(self) -> list[str]:
+        """Keys of every committed entry."""
+        return self._keys(".json")
+
+    def prune(
+        self,
+        max_entries: int | None = None,
+        *,
+        max_age: float | None = None,
+        lru: bool = False,
+    ) -> list[str]:
+        """Evict entries over the count and/or age budget (see
+        :meth:`ResultStore.prune`), all files of an entry together.
+
+        Entries are ordered and aged by their commit file's mtime, or
+        its atime with ``lru`` (hits bump it).  An entry is evicted
+        when it exceeds the count budget *or* the age budget — the
+        union, so both constraints hold afterwards.  Ties break on the
+        key, so concurrent pruners agree, and an entry another pruner
+        removed first is skipped.
+        """
+        _check_budget(max_entries, max_age)
+        ordered: list[tuple[float, str]] = []
+        for key in self.keys():
+            try:
+                st = self._path(key).stat()
+            except OSError:  # raced with another pruner
+                continue
+            ordered.append((st.st_atime if lru else st.st_mtime, key))
+        ordered.sort()
+        n_over = 0 if max_entries is None else max(0, len(ordered) - max_entries)
+        cutoff = None if max_age is None else time.time() - max_age
+        removed: list[str] = []
+        for i, (ts, key) in enumerate(ordered):
+            if i >= n_over and (cutoff is None or ts >= cutoff):
+                continue
+            for suffix in self._suffixes:
+                self._path(key, suffix).unlink(missing_ok=True)
+            removed.append(key)
+        return removed
 
 
 def result_key(scenario: "Scenario") -> str:
@@ -299,7 +456,7 @@ class MemoryStore(ResultStore):
     def put_meta(self, name: str, payload: Mapping) -> None:
         # Deep copies on both sides: a caller mutating its payload (or
         # the returned dict) must not reach the stored observations —
-        # the directory stores' JSON round-trip isolates them for free,
+        # the directory store's JSON round-trip isolates them for free,
         # and the cost model mutates what get_meta hands back.
         self._meta[name] = copy.deepcopy(dict(payload))
 
@@ -334,173 +491,73 @@ class MemoryStore(ResultStore):
         max_age: float | None = None,
         lru: bool = False,
     ) -> list[str]:
-        if max_age is not None or lru:
-            raise ValueError(
-                "MemoryStore keeps no timestamps; age/LRU pruning needs "
-                "a directory store"
-            )
-        if max_entries is None:
-            raise ValueError("prune needs max_entries and/or max_age")
-        if max_entries < 0:
-            raise ValueError("max_entries must be >= 0")
-        evict = max(0, len(self._results) - max_entries)
-        removed = list(self._results)[:evict]  # dicts keep insertion order
-        for key in removed:
-            del self._results[key]
-        return removed
+        return _prune_memory(self._results, max_entries, max_age, lru)
 
 
-class DirectoryStore(ResultStore):
-    """Local directory cache: ``<dir>/<key>.json`` (+ ``<key>.npz``).
+class DirectoryStore(_FileLayer, ResultStore):
+    """A result directory: ``<dir>/<key>.json``, its ``<key>.npz``
+    series and its ``<key>.fail.json`` failure record, plus named
+    ``<dir>/meta/<name>.json`` documents.
 
-    The on-disk layout is exactly the pre-refactor ``GridRunner``
-    cache, so existing cache directories keep hitting.  Writes are
-    atomic (temp file + ``os.replace``); corrupt entries are discarded
-    with a warning naming the path and recomputed by the caller.
+    Any number of writers may share one directory — threads,
+    processes, machines on a network filesystem — through the file
+    layer's unique temp names and fsync-then-rename commits.  A write
+    is skipped only when the entry on disk already serves a hit
+    (:meth:`get` for a result, :meth:`has_series` for a series);
+    anything else there — a stale schema, a series at another grid
+    step — is replaced.  Concurrent writers of one key agree on its
+    digests and metrics (replays are deterministic) but not on its
+    bytes (results carry wall-clock fields); the last rename wins.
     """
 
     stores_series = True
     persists_failures = True
-
-    #: write attempts per entry (subclasses aimed at flaky filesystems
-    #: raise this; ``1`` keeps the historical propagate-on-error shape)
-    _write_attempts = 1
-    #: base backoff between write retries, seconds (doubles per retry)
-    _retry_delay = 0.05
+    _key_re = _KEY_RE
+    _noun = "result-store entry"
 
     def __init__(
         self, root: str | Path, *, series_dt: float = DEFAULT_SERIES_DT
     ) -> None:
-        self.root = Path(root)
+        super().__init__(root)
         if series_dt <= 0:
             raise ValueError("series_dt must be positive")
         self.series_dt = float(series_dt)
-
-    # -- paths ------------------------------------------------------------------------
-
-    def _result_path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def _series_path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
-
-    def _failure_path(self, key: str) -> Path:
-        return self._result_path(key).with_suffix(".fail.json")
-
-    def _tmp_name(self, key: str, suffix: str) -> str:
-        return f"{key}.tmp.{os.getpid()}{suffix}"
-
-    def _discard(self, path: Path, reason: Exception) -> None:
-        """Drop an unreadable entry, loudly: the caller will recompute."""
-        self.health.discarded += 1
-        warnings.warn(
-            f"discarding corrupt result-store entry {path}: {reason!r}",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - races with other healers
-            pass
-
-    def _guarded_write(self, label: str, write) -> None:
-        """Run one write, retrying transient ``OSError``s with bounded
-        backoff (stale NFS handles, EAGAIN, a full disk mid-cleanup).
-
-        With the retry budget exhausted the write is **abandoned with
-        a warning and a tally** rather than propagated: the caller
-        still holds the result in memory, so losing the cache entry
-        must not lose the sweep.  Non-transient errors (permissions, a
-        missing mount) propagate on stores without a retry budget.
-        """
-        attempts = self._write_attempts
-        for attempt in range(1, attempts + 1):
-            try:
-                return write()
-            except OSError as exc:
-                transient = exc.errno in TRANSIENT_ERRNOS
-                if transient and attempt < attempts:
-                    self.health.retried_writes += 1
-                    time.sleep(self._retry_delay * 2 ** (attempt - 1))
-                    continue
-                if transient and attempts > 1:
-                    self.health.failed_writes += 1
-                    warnings.warn(
-                        f"abandoning result-store write {label}: {exc!r} "
-                        f"(after {attempts} attempts; entry will be "
-                        "recomputed on demand)",
-                        RuntimeWarning,
-                        stacklevel=4,
-                    )
-                    return
-                raise
 
     # -- results ----------------------------------------------------------------------
 
     def get(self, key: str) -> "RunResult | None":
         from repro.exp.runner import RunResult
 
-        path = self._result_path(key)
-        if not path.is_file():
-            return None
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            self._discard(path, exc)
+        path = self._path(key)
+        data = self._read_json(path)
+        if data is None:
             return None
         try:
             result = RunResult.from_dict(data, cached=True)
         except ValueError as exc:
             if "schema" in str(exc):
                 return None  # a result/scenario schema bump is expected staleness
-            self._discard(path, exc)
+            self._discard(exc, path)
             return None
         except (KeyError, TypeError) as exc:
-            self._discard(path, exc)
+            self._discard(exc, path)
             return None
         if result.scenario.scenario_hash() != key.partition("-")[0]:
             # Content addressing is the integrity check: an entry whose
             # payload does not hash to its own key was corrupted or
             # hand-edited.
-            self._discard(path, ValueError("stored scenario does not match key"))
+            self._discard(ValueError("stored scenario does not match key"), path)
             return None
         self._touch(path)
         return result
 
-    def _touch(self, path: Path) -> None:
-        """Bump the access time (LRU pruning) without moving mtime."""
-        try:
-            st = path.stat()
-            os.utime(path, times=(time.time(), st.st_mtime))
-        except OSError:  # pragma: no cover - read-only or raced store
-            pass
-
     def put(self, key: str, result: "RunResult") -> None:
-        payload = json.dumps(result.to_dict(), allow_nan=False)
+        if self.get(key) is not None:
+            return
+        payload = json.dumps(result.to_dict(), allow_nan=False).encode()
         # Torn-write injection point: an armed fault plan may truncate
         # the payload here, exactly like a writer killed mid-write.
-        payload = _faults.mangle_payload(key, payload)
-        self._guarded_write(
-            f"{key}.json", lambda: self._write_text(key, ".json", payload)
-        )
-
-    def _write_text(self, key: str, suffix: str, payload: str) -> None:
-        path = (
-            self._failure_path(key)
-            if suffix == ".fail.json"
-            else self._result_path(key)
-        )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / self._tmp_name(key, suffix)
-        try:
-            tmp.write_text(payload, encoding="utf-8")
-            self._replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    def _replace(self, tmp: Path, path: Path) -> None:
-        os.replace(tmp, path)  # atomic: concurrent writers race benignly
+        self._write(self._path(key), _faults.mangle_payload(key, payload))
 
     # -- series -----------------------------------------------------------------------
 
@@ -511,7 +568,7 @@ class DirectoryStore(ResultStore):
         ``series_dt`` is treated as absent (stale resolution, not an
         error); an unreadable payload is discarded with a warning.
         """
-        path = self._series_path(key)
+        path = self._path(key, ".npz")
         if not path.is_file():
             return None
         try:
@@ -520,7 +577,7 @@ class DirectoryStore(ResultStore):
                     return None
                 return {k: z[k] for k in z.files if k != "_series_dt"}
         except Exception as exc:
-            self._discard(path, exc)
+            self._discard(exc, path)
             return None
 
     def has_series(self, key: str) -> bool:
@@ -530,7 +587,7 @@ class DirectoryStore(ResultStore):
         tool) is a silent miss — its resolution cannot be verified, but
         it stays on disk and :meth:`get_series` will still serve it.
         """
-        path = self._series_path(key)
+        path = self._path(key, ".npz")
         if not path.is_file():
             return False
         try:
@@ -539,60 +596,47 @@ class DirectoryStore(ResultStore):
                     return False
                 return float(z["_series_dt"]) == self.series_dt
         except Exception as exc:
-            self._discard(path, exc)
+            self._discard(exc, path)
             return False
 
     def put_series(self, key: str, series: Mapping[str, np.ndarray]) -> None:
-        def write() -> None:
-            path = self._series_path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # np.savez appends .npz to suffix-less names, so the temp
-            # name must already carry it for the rename to find it.
-            tmp = path.parent / self._tmp_name(key, ".npz")
-            try:
-                np.savez_compressed(
-                    tmp, _series_dt=np.float64(self.series_dt), **series
-                )
-                # Torn-write injection point for the binary payload.
-                _faults.maybe_truncate(key, tmp)
-                self._replace(tmp, path)
-            except OSError:
-                tmp.unlink(missing_ok=True)
-                raise
-
-        self._guarded_write(f"{key}.npz", write)
+        if self.has_series(key):
+            return
+        payload = _npz_bytes({"_series_dt": np.float64(self.series_dt), **series})
+        # Torn-write injection point for the binary payload.
+        self._write(self._path(key, ".npz"), _faults.mangle_payload(key, payload))
 
     # -- failure records --------------------------------------------------------------
 
     def put_failure(self, key: str, record: "FailureRecord") -> None:
         payload = json.dumps(record.to_dict(), allow_nan=False)
-        self._guarded_write(
-            f"{key}.fail.json",
-            lambda: self._write_text(key, ".fail.json", payload),
-        )
+        self._write(self._path(key, ".fail.json"), payload.encode())
 
     def get_failure(self, key: str) -> "FailureRecord | None":
         from repro.exp.resilience import FailureRecord
 
-        path = self._failure_path(key)
-        if not path.is_file():
+        path = self._path(key, ".fail.json")
+        data = self._read_json(path)
+        if data is None:
             return None
         try:
-            return FailureRecord.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return FailureRecord.from_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
             # A corrupt failure record carries no science: drop it and
             # let the scenario simply run again.
-            self._discard(path, exc)
+            self._discard(exc, path)
             return None
 
     def pop_failure(self, key: str) -> bool:
         try:
-            self._failure_path(key).unlink()
+            self._path(key, ".fail.json").unlink()
             return True
         except FileNotFoundError:
             return False
+
+    def failures(self) -> list["FailureRecord"]:
+        records = [self.get_failure(key) for key in self._keys(".fail.json")]
+        return [r for r in records if r is not None]
 
     # -- metadata side-channel --------------------------------------------------------
 
@@ -606,148 +650,36 @@ class DirectoryStore(ResultStore):
     def put_meta(self, name: str, payload: Mapping) -> None:
         path = self._meta_path(name)
         text = json.dumps(payload, allow_nan=False, sort_keys=True)
-
-        def write() -> None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / self._tmp_name(name, ".json")
-            try:
-                tmp.write_text(text, encoding="utf-8")
-                self._replace(tmp, path)
-            except OSError:
-                tmp.unlink(missing_ok=True)
-                raise
-
-        self._guarded_write(f"meta/{name}.json", write)
+        self._write(path, text.encode())
 
     def get_meta(self, name: str) -> dict | None:
-        path = self._meta_path(name)
-        if not path.is_file():
-            return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            # Metadata is advisory bookkeeping: discard and regenerate.
-            self._discard(path, exc)
-            return None
+        # Metadata is advisory bookkeeping: discard and regenerate.
+        payload = self._read_json(self._meta_path(name))
         return payload if isinstance(payload, dict) else None
 
-    def failures(self) -> list["FailureRecord"]:
-        if not self.root.is_dir():
-            return []
-        records = []
-        for path in sorted(self.root.rglob("*.fail.json")):
-            key = path.name[: -len(".fail.json")]
-            if _KEY_RE.fullmatch(key):
-                record = self.get_failure(key)
-                if record is not None:
-                    records.append(record)
-        return records
 
-    def keys(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        # Only well-formed result keys count: temp litter from a killed
-        # writer ("<key>.tmp.<...>.json") and stray JSON dropped into
-        # the store tree are not stored keys — reporting them would
-        # poison prune() ordering and merge checks.
-        return sorted(
-            p.stem for p in self.root.rglob("*.json") if _KEY_RE.fullmatch(p.stem)
-        )
+def _spec_root(spec: str, what: str) -> str | None:
+    """The directory a store spec names, or ``None`` for ``memory``.
 
-    def prune(
-        self,
-        max_entries: int | None = None,
-        *,
-        max_age: float | None = None,
-        lru: bool = False,
-    ) -> list[str]:
-        """Evict entries over the count and/or age budget (see
-        :meth:`ResultStore.prune`); the ``.npz`` series payload goes
-        with its result.  Ordered/aged by the result file's mtime, or
-        its atime with ``lru`` (hits bump it).  Ties break on the key,
-        so concurrent pruners make the same choice."""
-        return _prune_files(
-            self,
-            [
-                (key, (self._result_path(key), self._series_path(key)))
-                for key in self.keys()
-            ],
-            max_entries=max_entries,
-            max_age=max_age,
-            lru=lru,
-        )
-
-    def _evicted(self, key: str) -> None:
-        """Hook run after ``key``'s files are unlinked by :meth:`prune`.
-
-        Subclasses with extra on-disk structure per key (fan-out
-        directories) clean it up here.
-        """
-
-
-class SharedDirectoryStore(DirectoryStore):
-    """A directory store safe for concurrent writers across machines.
-
-    Differences from :class:`DirectoryStore`, all aimed at many
-    independent workers pointing at one network-filesystem directory:
-
-    * entries fan out into ``<dir>/<key[:2]>/`` so a big sweep does not
-      produce one directory with thousands of entries (slow to list on
-      NFS);
-    * temp names embed hostname, pid and a per-process counter, so two
-      workers with colliding pids on different machines can never
-      clobber each other's in-flight writes;
-    * the temp file is fsynced before the atomic rename, so a reader on
-      another NFS client never sees a renamed-but-unflushed entry;
-    * an existing entry is never rewritten (first writer wins): replays
-      are deterministic, so a concurrent writer would produce the same
-      bytes, and skipping the write avoids rename storms on hot keys;
-    * writes retry transient ``OSError``s (stale NFS handles, EAGAIN,
-      ENOSPC while a cleaner runs) with bounded backoff, then abandon
-      the cache entry with a warning instead of failing the sweep —
-      tallied in :attr:`health`.
+    ``dir:PATH`` and ``shared:PATH`` are synonyms, and a bare path is
+    shorthand for both; a bare keyword (``shared`` with the ``:PATH``
+    forgotten) is an error, not a directory literally named
+    ``shared``.
     """
-
-    _seq = count()
-    _write_attempts = 4
-
-    def _result_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def _series_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.npz"
-
-    def _tmp_name(self, key: str, suffix: str) -> str:
-        host = socket.gethostname() or "host"
-        return f"{key}.tmp.{host}.{os.getpid()}.{next(self._seq)}{suffix}"
-
-    def put(self, key: str, result: "RunResult") -> None:
-        if self._result_path(key).is_file():
-            return
-        super().put(key, result)
-
-    def put_series(self, key: str, series: Mapping[str, np.ndarray]) -> None:
-        if self._series_path(key).is_file():
-            return
-        super().put_series(key, series)
-
-    def _replace(self, tmp: Path, path: Path) -> None:
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-
-    def _evicted(self, key: str) -> None:
-        # Drop the ``<key[:2]>/`` fan-out directory once its last entry
-        # is gone.  rmdir refuses non-empty directories, and a
-        # concurrent pruner may have removed it first (or be writing a
-        # new entry into it) — either way OSError means "leave it".
-        try:
-            (self.root / key[:2]).rmdir()
-        except OSError:
-            pass
+    kind, sep, arg = spec.partition(":")
+    if not sep and kind not in ("memory", "dir", "shared"):
+        return spec
+    if kind == "memory":
+        if arg:
+            raise ValueError(f"memory {what} takes no argument")
+        return None
+    if kind in ("dir", "shared"):
+        if not arg:
+            raise ValueError(f"{kind} {what} needs a path: {kind}:PATH")
+        return arg
+    raise ValueError(
+        f"unknown {what} spec {spec!r}; expected memory, dir:PATH or shared:PATH"
+    )
 
 
 def make_store(
@@ -755,28 +687,10 @@ def make_store(
 ) -> ResultStore:
     """Build a store from a CLI-style spec string.
 
-    ``memory`` — in-process memo; ``dir:PATH`` — local directory cache;
-    ``shared:PATH`` — shared directory safe for concurrent writers.  A
-    bare path is accepted as shorthand for ``dir:PATH``.
+    ``memory`` — in-process memo; ``dir:PATH``, ``shared:PATH`` or a
+    bare path — a :class:`DirectoryStore` at that path.
     """
-    kind, sep, arg = spec.partition(":")
-    if not sep and kind not in ("memory", "dir", "shared"):
-        # A bare non-keyword spec is a path; a bare keyword ("shared"
-        # with the :PATH forgotten) must error, not silently become a
-        # local directory literally named "shared".
-        kind, arg = "dir", spec
-    if kind == "memory":
-        if arg:
-            raise ValueError("memory store takes no argument")
+    root = _spec_root(spec, "store")
+    if root is None:
         return MemoryStore()
-    if kind == "dir":
-        if not arg:
-            raise ValueError("dir store needs a path: dir:PATH")
-        return DirectoryStore(arg, series_dt=series_dt)
-    if kind == "shared":
-        if not arg:
-            raise ValueError("shared store needs a path: shared:PATH")
-        return SharedDirectoryStore(arg, series_dt=series_dt)
-    raise ValueError(
-        f"unknown store spec {spec!r}; expected memory, dir:PATH or shared:PATH"
-    )
+    return DirectoryStore(root, series_dt=series_dt)

@@ -604,7 +604,7 @@ def test_sharded_store_merge_equals_single_run_table(tmp_path):
     """Two shard jobs filling one shared store produce, after a merge
     pass over that store, the exact Figure-8 table of a single-process
     run — the CI shard matrix asserts this same property end to end."""
-    from repro.exp import SharedDirectoryStore, render_results_grid
+    from repro.exp import render_results_grid
 
     scenarios = [
         Scenario.paper_cell("medianjob", policy, cap, scale=1 / 56, duration=2 * HOUR)
@@ -614,10 +614,10 @@ def test_sharded_store_merge_equals_single_run_table(tmp_path):
     for k in range(2):
         with GridRunner(
             backend=make_backend("serial", shard=(k, 2)),
-            store=SharedDirectoryStore(tmp_path),
+            store=DirectoryStore(tmp_path),
         ) as runner:
             runner.run(scenarios)
-    with GridRunner(store=SharedDirectoryStore(tmp_path)) as runner:
+    with GridRunner(store=DirectoryStore(tmp_path)) as runner:
         merged = runner.run(scenarios)
     assert all(r.cached for r in merged)
     single = GridRunner().run(scenarios)

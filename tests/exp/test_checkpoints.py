@@ -15,7 +15,6 @@ from repro.exp import (
     MemoryCheckpointStore,
     MemoryStore,
     Scenario,
-    SharedCheckpointStore,
     WarmStart,
     checkpoint_group,
     checkpoint_key,
@@ -80,22 +79,18 @@ class TestCheckpointKey:
         assert isinstance(make_checkpoint_store("memory"), MemoryCheckpointStore)
         d = make_checkpoint_store(f"dir:{tmp_path}")
         assert isinstance(d, DirectoryCheckpointStore)
-        s = make_checkpoint_store(f"shared:{tmp_path}")
-        assert isinstance(s, SharedCheckpointStore)
-        # A bare path is shorthand for dir:PATH.
-        bare = make_checkpoint_store(str(tmp_path / "ck"))
-        assert isinstance(bare, DirectoryCheckpointStore)
+        # shared:PATH and a bare path build the same class as dir:PATH.
+        for spec in (f"shared:{tmp_path}", str(tmp_path)):
+            store = make_checkpoint_store(spec)
+            assert type(store) is DirectoryCheckpointStore
+            assert store.root == tmp_path
         for bad in ("dir:", "shared:", "memory:x"):
             with pytest.raises(ValueError):
                 make_checkpoint_store(bad)
 
 
 def _stores(tmp_path):
-    return [
-        MemoryCheckpointStore(),
-        DirectoryCheckpointStore(tmp_path / "dir"),
-        SharedCheckpointStore(tmp_path / "shared"),
-    ]
+    return [MemoryCheckpointStore(), DirectoryCheckpointStore(tmp_path / "dir")]
 
 
 class TestStorePlumbing:
@@ -117,10 +112,10 @@ class TestStorePlumbing:
             assert store.best("0" * 16 + "-" + "1" * 8 + "-" + "2" * 8, 9e9) is None
 
     def test_shared_store_first_writer_wins(self, tmp_path):
-        store = SharedCheckpointStore(tmp_path)
+        store = make_checkpoint_store(f"shared:{tmp_path}")
         group = checkpoint_group(TINY)
         key = store.put(group, 1800.0, fake_state(1800.0))
-        path = store._json_path(key)
+        path = store._path(key)
         stat = path.stat()
         store.put(group, 1800.0, fake_state(1800.0))
         again = path.stat()
@@ -152,58 +147,58 @@ class TestSchemaAndCorruption:
 
     def test_wrapper_schema_mismatch_is_silent_miss(self, tmp_path):
         store, key = self._seeded(tmp_path)
-        wrapper = json.loads(store._json_path(key).read_text(encoding="utf-8"))
+        wrapper = json.loads(store._path(key).read_text(encoding="utf-8"))
         wrapper["schema"] = CHECKPOINT_SCHEMA + 1
-        store._json_path(key).write_text(json.dumps(wrapper), encoding="utf-8")
+        store._path(key).write_text(json.dumps(wrapper), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # silent: no discard warning
             assert store.get(key) is None
             assert store.best(checkpoint_group(TINY), 9000.0) is None
         # The entry is left for the build that wrote it.
-        assert store._json_path(key).is_file()
+        assert store._path(key).is_file()
         assert store.health.discarded == 0
 
     def test_fork_state_version_mismatch_is_silent_miss(self, tmp_path):
         store, key = self._seeded(tmp_path)
-        wrapper = json.loads(store._json_path(key).read_text(encoding="utf-8"))
+        wrapper = json.loads(store._path(key).read_text(encoding="utf-8"))
         wrapper["meta"]["version"] = FORK_STATE_VERSION + 1
-        store._json_path(key).write_text(json.dumps(wrapper), encoding="utf-8")
+        store._path(key).write_text(json.dumps(wrapper), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert store.get(key) is None
-        assert store._json_path(key).is_file()
+        assert store._path(key).is_file()
 
     def test_truncated_json_discards_both_files(self, tmp_path):
         store, key = self._seeded(tmp_path)
-        store._json_path(key).write_text("{tru", encoding="utf-8")
+        store._path(key).write_text("{tru", encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="discarding"):
             assert store.get(key) is None
-        assert not store._json_path(key).is_file()
-        assert not store._npz_path(key).is_file()
+        assert not store._path(key).is_file()
+        assert not store._path(key, ".npz").is_file()
         assert store.health.discarded == 1
 
     def test_truncated_npz_discards_both_files(self, tmp_path):
         store, key = self._seeded(tmp_path)
-        npz = store._npz_path(key)
+        npz = store._path(key, ".npz")
         npz.write_bytes(npz.read_bytes()[:20])
         with pytest.warns(RuntimeWarning, match="discarding"):
             assert store.get(key) is None
-        assert not store._json_path(key).is_file()
+        assert not store._path(key).is_file()
         assert not npz.is_file()
 
     def test_key_content_mismatch_discards(self, tmp_path):
         # An entry renamed to a foreign key must not serve under it.
         store, key = self._seeded(tmp_path)
         other = checkpoint_key(checkpoint_group(TINY), 9999.0)
-        os.rename(store._json_path(key), store._json_path(other))
-        os.rename(store._npz_path(key), store._npz_path(other))
+        os.rename(store._path(key), store._path(other))
+        os.rename(store._path(key, ".npz"), store._path(other, ".npz"))
         with pytest.warns(RuntimeWarning, match="discarding"):
             assert store.get(other) is None
 
     def test_orphan_npz_is_invisible(self, tmp_path):
         # A torn write (npz landed, json did not) never serves.
         store, key = self._seeded(tmp_path)
-        store._json_path(key).unlink()
+        store._path(key).unlink()
         assert store.get(key) is None
         assert store.best(checkpoint_group(TINY), 9000.0) is None
 
@@ -218,7 +213,7 @@ class TestPruning:
         keys = []
         for i, age in enumerate(ages):
             key = store.put(group, 1000.0 * (i + 1), fake_state(1000.0 * (i + 1)))
-            for path in (store._json_path(key), store._npz_path(key)):
+            for path in (store._path(key), store._path(key, ".npz")):
                 os.utime(path, (now - age, now - age))
             keys.append(key)
         return keys
@@ -243,16 +238,16 @@ class TestPruning:
         assert sorted(store.keys()) == sorted(keys[1:])
 
     def test_max_age_and_count_evict_their_union(self, tmp_path):
-        store = SharedCheckpointStore(tmp_path)
+        store = DirectoryCheckpointStore(tmp_path)
         keys = self._aged(store, ages=(300, 200, 100))
         # Count admits 2, age admits only the youngest: union evicts 2.
         removed = store.prune(2, max_age=150.0)
         assert sorted(removed) == sorted(keys[:2])
         assert store.keys() == [keys[2]]
-        # Fan-out dirs of evicted keys are gone (unless shared).
-        survivors = {keys[2][:2]}
-        for key in keys[:2]:
-            assert key[:2] in survivors or not (tmp_path / key[:2]).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{keys[2]}.json",
+            f"{keys[2]}.npz",
+        ]
 
     def test_lru_orders_by_access_and_reads_bump_atime(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path)
@@ -281,7 +276,7 @@ class TestPruning:
         store.put(new, result)
         now = time.time()
         for key, age in ((old, 300), (new, 100)):
-            path = store._result_path(key)
+            path = store._path(key)
             os.utime(path, (now - age, now - age))
         with pytest.raises(ValueError):
             store.prune()
@@ -290,7 +285,7 @@ class TestPruning:
         assert store.keys() == [new]
         # LRU: a hit bumps the atime and saves the entry.
         store.put(old, result)
-        path = store._result_path(old)
+        path = store._path(old)
         os.utime(path, (now - 300, now - 300))
         assert store.get(old) is not None  # bumps atime, mtime untouched
         assert path.stat().st_mtime == pytest.approx(now - 300)
@@ -382,7 +377,7 @@ class TestWarmStartBitIdentity:
         ck = DirectoryCheckpointStore(tmp_path / "ck")
         GridRunner(store=MemoryStore(), checkpoints=ck).sweep(scenarios)
         [key] = ck.keys()
-        npz = ck._npz_path(key)
+        npz = ck._path(key, ".npz")
         npz.write_bytes(npz.read_bytes()[:40])
         store2 = DirectoryCheckpointStore(tmp_path / "ck")
         with pytest.warns(RuntimeWarning, match="discarding"):
@@ -402,9 +397,9 @@ class TestWarmStartBitIdentity:
         ck = DirectoryCheckpointStore(tmp_path / "ck")
         GridRunner(store=MemoryStore(), checkpoints=ck).sweep(scenarios)
         [key] = ck.keys()
-        wrapper = json.loads(ck._json_path(key).read_text(encoding="utf-8"))
+        wrapper = json.loads(ck._path(key).read_text(encoding="utf-8"))
         wrapper["schema"] = CHECKPOINT_SCHEMA + 1
-        ck._json_path(key).write_text(json.dumps(wrapper), encoding="utf-8")
+        ck._path(key).write_text(json.dumps(wrapper), encoding="utf-8")
         rep = GridRunner(
             store=MemoryStore(),
             checkpoints=DirectoryCheckpointStore(tmp_path / "ck"),
@@ -413,7 +408,7 @@ class TestWarmStartBitIdentity:
         # entry is neither served nor clobbered (its key still exists).
         assert [r.trace_digest for r in rep.results] == baseline
         assert rep.checkpoints["hits"] == 0
-        assert ck._json_path(key).is_file()
+        assert ck._path(key).is_file()
 
 
 @pytest.mark.slow
@@ -446,14 +441,14 @@ class TestCrossBackendWarmStartEquivalence:
         ck_root = tmp_path / "ckpts"
         # Publish pass: one cold serial sweep seeds the shared store.
         seed = GridRunner(
-            store=MemoryStore(), checkpoints=SharedCheckpointStore(ck_root)
+            store=MemoryStore(), checkpoints=DirectoryCheckpointStore(ck_root)
         ).sweep(scenarios)
         assert {
             r.scenario.name: r.trace_digest for r in seed.results
         } == pinned
         published = seed.checkpoints.get("publishes", 0)
         assert published >= 1
-        assert len(SharedCheckpointStore(ck_root).keys()) == published
+        assert len(DirectoryCheckpointStore(ck_root).keys()) == published
         # Warm passes: fresh result stores, every backend restores.
         backends = {
             "serial": make_backend("serial"),
@@ -464,7 +459,7 @@ class TestCrossBackendWarmStartEquivalence:
             with GridRunner(
                 backend=backend,
                 store=MemoryStore(),
-                checkpoints=SharedCheckpointStore(ck_root),
+                checkpoints=DirectoryCheckpointStore(ck_root),
             ) as runner:
                 rep = runner.sweep(scenarios)
             assert {

@@ -9,9 +9,11 @@ accounted for in the :class:`SweepReport`.
 """
 
 import errno
+import os
 
 import pytest
 
+from repro.exp import store as store_mod
 from repro.exp import (
     BatchBackend,
     CapWindow,
@@ -26,11 +28,11 @@ from repro.exp import (
     PoolBackend,
     RetryPolicy,
     Scenario,
-    SharedDirectoryStore,
     SweepError,
     TaskFailure,
     injected,
     make_backend,
+    make_store,
     parse_fault_plan,
     result_key,
     run_scenario,
@@ -477,10 +479,14 @@ class TestStoreResilience:
     def _result(self):
         return run_scenario(TINY)
 
-    def test_shared_store_retries_transient_oserror(self, tmp_path):
-        store = SharedDirectoryStore(tmp_path)
-        store._retry_delay = 0.001
-        real_replace, fails = store._replace, []
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        """A ``shared:`` directory store with a millisecond backoff."""
+        monkeypatch.setattr(store_mod, "_RETRY_DELAY", 0.001)
+        return make_store(f"shared:{tmp_path}")
+
+    def test_shared_store_retries_transient_oserror(self, store, monkeypatch):
+        real_replace, fails = os.replace, []
 
         def flaky_replace(tmp, path):
             if len(fails) < 2:
@@ -488,37 +494,37 @@ class TestStoreResilience:
                 raise OSError(errno.ESTALE, "stale NFS handle")
             return real_replace(tmp, path)
 
-        store._replace = flaky_replace
         result = self._result()
+        monkeypatch.setattr(store_mod.os, "replace", flaky_replace)
         store.put(result_key(TINY), result)
+        monkeypatch.undo()
         assert store.health.retried_writes == 2
         assert store.health.failed_writes == 0
         got = store.get(result_key(TINY))
         assert got is not None and got.trace_digest == result.trace_digest
+        assert not [p for p in store.root.iterdir() if ".tmp." in p.name]
 
-    def test_shared_store_abandons_after_budget(self, tmp_path):
-        store = SharedDirectoryStore(tmp_path)
-        store._retry_delay = 0.001
-
+    def test_shared_store_abandons_after_budget(self, store, monkeypatch):
         def always_enospc(tmp, path):
             raise OSError(errno.ENOSPC, "disk full")
 
-        store._replace = always_enospc
+        result = self._result()
+        monkeypatch.setattr(store_mod.os, "replace", always_enospc)
         with pytest.warns(RuntimeWarning, match="abandoning"):
-            store.put(result_key(TINY), self._result())  # must not raise
+            store.put(result_key(TINY), result)  # must not raise
+        monkeypatch.undo()
         assert store.health.failed_writes == 1
-        assert store.health.retried_writes == store._write_attempts - 1
+        assert store.health.retried_writes == store_mod._WRITE_ATTEMPTS - 1
         assert store.get(result_key(TINY)) is None
 
-    def test_nontransient_oserror_propagates(self, tmp_path):
-        store = SharedDirectoryStore(tmp_path)
-
+    def test_nontransient_oserror_propagates(self, store, monkeypatch):
         def no_perm(tmp, path):
             raise OSError(errno.EPERM, "read-only")
 
-        store._replace = no_perm
+        result = self._result()
+        monkeypatch.setattr(store_mod.os, "replace", no_perm)
         with pytest.raises(OSError):
-            store.put(result_key(TINY), self._result())
+            store.put(result_key(TINY), result)
 
     def test_corrupt_write_is_discarded_and_healed(self, tmp_path, golden):
         store = DirectoryStore(tmp_path)

@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 
 from repro.exp import (
+    DirectoryCheckpointStore,
     DirectoryStore,
     GridRunner,
+    MemoryCheckpointStore,
     MemoryStore,
     Scenario,
-    SharedDirectoryStore,
+    checkpoint_group,
+    checkpoint_key,
     make_store,
     merge_results,
     result_key,
     run_scenario,
 )
 from repro.exp.store import DEFAULT_SERIES_DT
+from repro.sim.batch import FORK_STATE_VERSION
 
 HOUR = 3600.0
 
@@ -113,6 +117,27 @@ class TestMemoryStore:
         returned["groups"]["g"]["n"] = 42
         returned["groups"].clear()
         assert store.get_meta("m")["groups"]["g"] == {"mean": 1.0, "n": 1}
+
+
+    @pytest.mark.parametrize(
+        "make", [MemoryStore, MemoryCheckpointStore], ids=["results", "checkpoints"]
+    )
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({}, "needs max_entries"),
+            ({"max_entries": -1}, "max_entries must be >= 0"),
+            ({"max_entries": 1, "lru": True}, "keep no timestamps"),
+            ({"max_age": 10.0}, "keep no timestamps"),
+        ],
+        ids=["no-budget", "negative", "lru", "age"],
+    )
+    def test_prune_argument_check(self, make, kwargs, message):
+        """Both memory stores reject one set of prune arguments with
+        one set of messages: no budget, a negative count, and the
+        age/LRU budgets they keep no timestamps for."""
+        with pytest.raises(ValueError, match=message):
+            make().prune(**kwargs)
 
 
 class TestDirectoryStore:
@@ -217,76 +242,45 @@ class TestDirectoryStore:
 
 
 class TestSharedDirectoryStore:
-    def test_fan_out_layout_and_roundtrip(self, tmp_path, tiny_result):
-        store = SharedDirectoryStore(tmp_path)
-        key = result_key(TINY)
-        store.put(key, tiny_result)
-        assert (tmp_path / key[:2] / f"{key}.json").is_file()
-        back = store.get(key)
-        assert back is not None and back.same_outcome(tiny_result)
-        assert store.keys() == [key]
+    """One :class:`DirectoryStore` shared by concurrent writers: the
+    ``shared:PATH`` spec builds the same class as ``dir:PATH``."""
 
     def test_first_writer_wins(self, tmp_path, tiny_result):
-        store = SharedDirectoryStore(tmp_path)
+        store = make_store(f"shared:{tmp_path}")
         key = result_key(TINY)
         store.put(key, tiny_result)
-        path = tmp_path / key[:2] / f"{key}.json"
+        path = tmp_path / f"{key}.json"
         stat = path.stat()
-        store.put(key, tiny_result)  # deterministic duplicate: skipped
+        store.put(key, tiny_result)  # the entry already serves a hit: skipped
         again = path.stat()
         assert (again.st_ino, again.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
 
     def test_flat_directory_store_reads_are_compatible(self, tmp_path, tiny_result):
-        # One key written by each layout: merge_results over both
-        # stores' contents sees the same sweep.
-        flat = DirectoryStore(tmp_path / "flat")
-        shared = SharedDirectoryStore(tmp_path / "shared")
+        # ``dir:`` and ``shared:`` over one directory see one entry.
         key = result_key(TINY)
-        flat.put(key, tiny_result)
-        shared.put(key, tiny_result)
-        merged = merge_results([[flat.get(key)], [shared.get(key)]])
+        make_store(f"dir:{tmp_path}").put(key, tiny_result)
+        shared = make_store(f"shared:{tmp_path}")
+        assert type(shared) is DirectoryStore and shared.keys() == [key]
+        merged = merge_results(
+            [[shared.get(key)], [DirectoryStore(tmp_path).get(key)]]
+        )
         assert len(merged) == 1 and merged[0].same_outcome(tiny_result)
 
-    def test_prune_removes_empty_fanout_dirs(self, tmp_path, tiny_result):
-        """Evicting a key must not leave its ``<key[:2]>/`` fan-out
-        directory behind as empty clutter — but a directory still
-        holding other entries stays."""
-        store = SharedDirectoryStore(tmp_path)
-        key = result_key(TINY)
-        other = result_key(TINY.with_(seed=9))
-        store.put(key, tiny_result)
-        store.put(other, tiny_result)
-        # Age the first key so prune evicts it deterministically.
-        import os
-
-        path = store._result_path(key)
-        os.utime(path, (1.0, 1.0))
-        assert store.prune(max_entries=1) == [key]
-        assert not (tmp_path / key[:2]).exists() or key[:2] == other[:2]
-        assert (tmp_path / other[:2]).is_dir()
-        assert store.keys() == [other]
-        # Evicting the last entry drops its directory too.
-        assert store.prune(max_entries=0) == [other]
-        assert not (tmp_path / other[:2]).exists()
-
     def test_prune_tolerates_racing_pruner(self, tmp_path, tiny_result):
-        """A concurrent pruner may delete files or the fan-out dir
-        between our listing and our unlink — prune must shrug, not
-        raise."""
-        store = SharedDirectoryStore(tmp_path)
+        """A concurrent pruner may delete an entry's files between our
+        listing and our unlink — prune must shrug, not raise."""
+        store = DirectoryStore(tmp_path)
         key = result_key(TINY)
         store.put(key, tiny_result)
-        # Simulate the race: the other pruner already removed the
-        # entry and its directory.
-        store._result_path(key).unlink()
-        (tmp_path / key[:2]).rmdir()
+        listed = store.keys()
+        # The other pruner removes the whole entry after our listing...
+        store._path(key).unlink()
+        store.keys = lambda: listed
         assert store.prune(max_entries=0) == []
-        # And the half-race: files gone, directory still present.
+        # ...or only some of its files (here: the series, never written).
         store.put(key, tiny_result)
-        store._result_path(key).unlink()
-        removed = store.prune(max_entries=0)
-        assert removed == []
-        assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
+        assert store.prune(max_entries=0) == [key]
+        assert not list(tmp_path.iterdir())
 
     def test_concurrent_runners_share_one_store(self, tmp_path):
         """Two GridRunner instances, one shared store, overlapping
@@ -301,7 +295,7 @@ class TestSharedDirectoryStore:
 
         def sweep(label: str, order: list) -> None:
             try:
-                with GridRunner(store=SharedDirectoryStore(tmp_path)) as runner:
+                with GridRunner(store=make_store(f"shared:{tmp_path}")) as runner:
                     outcomes[label] = runner.run(order)
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -318,7 +312,7 @@ class TestSharedDirectoryStore:
         fwd = {r.scenario.name: r.trace_digest for r in outcomes["fwd"]}
         rev = {r.scenario.name: r.trace_digest for r in outcomes["rev"]}
         assert fwd == rev and len(fwd) == 4
-        store = SharedDirectoryStore(tmp_path)
+        store = DirectoryStore(tmp_path)
         assert len(store.keys()) == 4
         for key in store.keys():
             assert store.get(key) is not None
@@ -331,7 +325,7 @@ class TestSharedDirectoryStore:
         wins, no torn JSON), and corrupt meta heals to missing."""
         import threading
 
-        store = SharedDirectoryStore(tmp_path)
+        store = DirectoryStore(tmp_path)
         payloads = [
             {"schema": 1, "groups": {f"g{w}": {"mean": float(w), "n": w + 1}}}
             for w in range(2)
@@ -343,7 +337,7 @@ class TestSharedDirectoryStore:
             try:
                 gate.wait()
                 for _ in range(25):
-                    SharedDirectoryStore(tmp_path).put_meta(
+                    DirectoryStore(tmp_path).put_meta(
                         "cost-model", payloads[writer]
                     )
             except BaseException as exc:  # pragma: no cover - failure path
@@ -363,21 +357,93 @@ class TestSharedDirectoryStore:
         # Corruption heals to a silent miss, not an exception.
         meta_path = next((tmp_path / "meta").glob("cost-model.json"))
         meta_path.write_text("{torn")
-        assert SharedDirectoryStore(tmp_path).get_meta("cost-model") is None
+        assert DirectoryStore(tmp_path).get_meta("cost-model") is None
+
+    def test_stale_entries_are_replaced(self, tmp_path):
+        """Regression: a write replaces an entry that no longer serves
+        a hit.  A sweep at a new ``series_dt`` rewrites the stale
+        ``.npz`` (so the next sweep at that step hits instead of
+        re-executing every cell forever), and a put replaces a result
+        JSON of a stale schema."""
+        hits = []
+        for series_dt in (300.0, 60.0, 60.0):
+            store = make_store(f"shared:{tmp_path}", series_dt=series_dt)
+            report = GridRunner(store=store, series=True).sweep([TINY])
+            hits.append(report.n_hits)
+        assert hits == [0, 0, 1]
+        key, result = result_key(TINY), report.results[0]
+        [path] = tmp_path.rglob(f"{key}.json")
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["schema"] = 999
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert store.get(key) is None
+        store.put(key, result)
+        assert store.get(key).same_outcome(result)
+
+    def test_concurrent_same_key_writes(self, tmp_path, tiny_result):
+        """Regression: threads of one process writing one key must not
+        share a temp file — every write lands or is skipped, no
+        exception, a readable entry, no temp litter."""
+        import sys
+        import threading
+
+        results = DirectoryStore(tmp_path / "results")
+        ckpts = DirectoryCheckpointStore(tmp_path / "ckpts")
+        key, group = result_key(TINY), checkpoint_group(TINY)
+        state = {
+            "meta": {"version": FORK_STATE_VERSION, "horizon": (60.0).hex()},
+            "arrays": {"a": np.arange(100_000.0)},
+        }
+        writes = {
+            "put": lambda: results.put(key, tiny_result),
+            "put_series": lambda: results.put_series(
+                key, {"time": np.arange(100_000.0)}
+            ),
+            "checkpoint": lambda: ckpts.put(group, 60.0, state),
+        }
+        n_threads, rounds = 4, 5
+        gate = threading.Barrier(n_threads)
+        errors: list[BaseException] = []
+
+        def hammer(write) -> None:
+            try:
+                for _ in range(rounds):
+                    gate.wait(timeout=30)
+                    write()
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+                gate.abort()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for name, write in writes.items():
+                threads = [
+                    threading.Thread(target=hammer, args=(write,))
+                    for _ in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads), name
+                assert not errors, (name, errors)
+        finally:
+            sys.setswitchinterval(switch)
+        assert results.get(key).same_outcome(tiny_result)
+        assert results.get_series(key)["time"].size == 100_000
+        assert ckpts.get(checkpoint_key(group, 60.0))["arrays"]["a"].size == 100_000
+        assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
 
 
 class TestMakeStore:
     def test_specs(self, tmp_path):
         assert isinstance(make_store("memory"), MemoryStore)
-        d = make_store(f"dir:{tmp_path}")
-        assert isinstance(d, DirectoryStore) and not isinstance(
-            d, SharedDirectoryStore
-        )
-        assert isinstance(make_store(f"shared:{tmp_path}"), SharedDirectoryStore)
-        # A bare path is shorthand for dir:PATH.
-        bare = make_store(str(tmp_path))
-        assert isinstance(bare, DirectoryStore) and bare.root == tmp_path
-        assert bare.series_dt == DEFAULT_SERIES_DT
+        # dir:PATH, shared:PATH and a bare path build one class.
+        for spec in (f"dir:{tmp_path}", f"shared:{tmp_path}", str(tmp_path)):
+            store = make_store(spec)
+            assert type(store) is DirectoryStore and store.root == tmp_path
+            assert store.series_dt == DEFAULT_SERIES_DT
 
     @pytest.mark.parametrize(
         # "shared"/"dir" without :PATH must error, not silently become
