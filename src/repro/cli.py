@@ -256,8 +256,10 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
                         "fail on the first error)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-scenario wall-clock budget; a scenario past it "
-                        "is presumed hung (the pool backend kills and "
-                        "respawns its workers)")
+                        "is presumed hung and its workers are killed and "
+                        "respawned.  Only pool and batch-pool with --workers "
+                        "> 1 enforce it; in-process backends warn and "
+                        "ignore it")
     p.add_argument("--on-error", default="raise",
                    choices=["raise", "skip", "quarantine"],
                    help="disposition of scenarios that exhaust their "
@@ -594,54 +596,24 @@ def _print_profile_summary(profile_dir: str, top: int = 15) -> None:
 def _print_sweep_plan(args: argparse.Namespace, scenarios: list) -> int:
     """``exp run --plan``: the batch-pool schedule, nothing executed.
 
-    Mirrors the sweep's own pre-flight exactly — dedupe by content
-    hash, drop foreign shards, group by cap-free content — then prints
-    the cost model's LPT placement for ``--workers`` workers.
+    Builds the sweep's runner for its store and shard, dedupes the
+    scenarios it owns by content hash, and prints the placement the
+    pool computes for ``--workers`` workers
+    (:func:`repro.exp.backends.place_units`).
     """
-    from repro.exp import make_store
-    from repro.exp.backends import BatchBackend
-    from repro.exp.costmodel import CostModel, assign_workers, plan_table
-    from repro.exp.spec import parse_shard, shard_index
-
-    try:
-        shard = getattr(args, "shard", None)
-        index, total = (None, None) if shard is None else parse_shard(shard)
-        store = None
-        if args.store is not None:
-            if args.cache_dir is not None:
-                raise ValueError("pass --store or --cache-dir, not both")
-            store = make_store(args.store)
-        elif args.cache_dir is not None:
-            store = make_store(f"dir:{args.cache_dir}")
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-
-    seen: set[str] = set()
-    deduped = []
-    for sc in scenarios:
-        h = sc.scenario_hash()
-        if h in seen:
-            continue
-        seen.add(h)
-        if total is not None and shard_index(h, total) != index:
-            continue
-        deduped.append(sc)
-
-    model = CostModel.from_store(store) if store is not None else CostModel()
-    groups: dict = {}
-    for i, sc in enumerate(deduped):
-        groups.setdefault(BatchBackend.group_key(sc), []).append(i)
-    multi = [idxs for idxs in groups.values() if len(idxs) > 1]
-    singles = sum(1 for idxs in groups.values() if len(idxs) == 1)
-    workers = max(1, args.workers)
-    placed = assign_workers(
-        [model.estimate_group(deduped, idxs) for idxs in multi], workers
-    )
-    print(plan_table(placed, workers))
-    if singles:
-        print(f"(+ {singles} singleton cell(s) on the solo task path)")
     from repro.exp import shm
+    from repro.exp.backends import place_units
+    from repro.exp.costmodel import CostModel, plan_table
 
+    with _build_runner(args) as runner:
+        owned: dict = {}
+        for sc in scenarios:
+            key = sc.scenario_hash()
+            if runner.backend.owns(key):
+                owned.setdefault(key, sc)
+        model = CostModel.from_store(runner.store)
+    workers = max(1, args.workers)
+    print(plan_table(place_units(list(owned.values()), True, workers, model), workers))
     print(shm.status_line())
     return 0
 
@@ -913,11 +885,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(<scenario_hash>.pstats) and print an aggregated "
                         "top-N hot-path summary after the sweep")
     p.add_argument("--plan", action="store_true",
-                   help="print the scheduled lockstep-group plan (grouping, "
-                        "cost estimates, LPT worker placement) without "
-                        "executing anything; estimates come from the result "
-                        "store's calibration metadata when --store/--cache-dir "
-                        "points at one")
+                   help="print the batch-pool schedule without executing "
+                        "anything: every unit (lockstep groups and "
+                        "singleton cells in one queue) with its cost "
+                        "estimate and LPT worker placement; estimates come "
+                        "from the result store's calibration metadata when "
+                        "--store/--cache-dir points at one")
     p.set_defaults(func=cmd_exp_run)
 
     p = exp_sub.add_parser("compare", help="compare two library scenarios")

@@ -29,7 +29,9 @@ The subsystem behind ``repro exp run/list/compare``:
   (:class:`FaultPlan`, :mod:`repro.exp.faults`), retry/timeout/
   quarantine semantics and structured sweep outcomes
   (:class:`RetryPolicy`, :class:`SweepReport`,
-  :mod:`repro.exp.resilience`);
+  :mod:`repro.exp.resilience`): each sweep keeps one
+  :class:`collections.Counter`, and the report's hit, execution,
+  retry, warm-start, transfer and group counts are views of it;
 * :data:`SCENARIO_LIBRARY` — named, ready-to-run scenarios
   (:mod:`repro.exp.library`);
 * aggregation and shard merging into the Figure 8 reporting layer
@@ -89,7 +91,6 @@ from repro.exp.store import (
 )
 from repro.exp.checkpoints import (
     CheckpointStore,
-    CheckpointTally,
     DirectoryCheckpointStore,
     MemoryCheckpointStore,
     WarmStart,
@@ -126,7 +127,6 @@ from repro.exp.shm import (
     SharedArena,
     ShmPayload,
     ShmView,
-    TransferTally,
     set_shm_enabled,
     shm_available,
 )
@@ -155,7 +155,6 @@ __all__ = [
     "make_store",
     "result_key",
     "CheckpointStore",
-    "CheckpointTally",
     "MemoryCheckpointStore",
     "DirectoryCheckpointStore",
     "WarmStart",
@@ -183,7 +182,6 @@ __all__ = [
     "SharedArena",
     "ShmPayload",
     "ShmView",
-    "TransferTally",
     "set_shm_enabled",
     "shm_available",
     "GridRunner",

@@ -4,9 +4,11 @@ Two executors share one contract, ``run_scenarios``: split the
 scenarios into **units** — a lockstep group of two or more cells (same
 cap-free content, same platform; see :meth:`BatchBackend.group_key`)
 when grouping is on, else one cell — run every unit, and yield
-``(index, outcome, retries)`` triples, where the outcome is the cell's
+``(index, outcome)`` pairs, where the outcome is the cell's
 :class:`~repro.exp.runner.RunResult` (``(RunResult, series)`` with
-series) or a :class:`~repro.exp.resilience.TaskFailure`.
+series) or a :class:`~repro.exp.resilience.TaskFailure`.  Retries,
+group tallies and transfer bytes go into the sweep's ``counts``
+(:attr:`~repro.exp.resilience.SweepReport.counts`) as they happen.
 
 * :class:`BatchBackend` runs the units in this process: a group
   through the lockstep replay :func:`repro.exp.runner._run_group_task`
@@ -38,10 +40,11 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import pickle
 import time
 import warnings
 import weakref
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
@@ -49,6 +52,7 @@ from typing import Any, Collection, Iterator, Sequence
 
 from repro.exp import faults as _faults
 from repro.exp import shm as _shm
+from repro.exp.costmodel import CostModel, GroupEstimate, assign_workers
 from repro.exp.resilience import (
     RetryPolicy,
     TaskFailure,
@@ -74,7 +78,7 @@ class ExecutionBackend:
         self, scenarios: Sequence[Scenario], **kwargs: Any
     ) -> Iterator[TaskOutcome]:
         """Execute ``scenarios`` (deduped by the runner); yields
-        ``(index, outcome, retries)`` triples in no particular order."""
+        ``(index, outcome)`` pairs in no particular order."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -101,29 +105,35 @@ def _units(
     return [tuple(idxs) for idxs in groups.values()]
 
 
-def _group_stats(units: Sequence[tuple[int, ...]]) -> dict[str, Any]:
-    """The :attr:`SweepReport.groups` skeleton of a grouped run."""
+def _count_units(units: Sequence[tuple[int, ...]], counts: Counter) -> None:
+    """Count the groups and singletons of a grouped run.  The keys go
+    in even when zero: their presence is what makes
+    :attr:`SweepReport.groups` non-empty."""
     multi = [u for u in units if len(u) > 1]
-    return {
-        "n_groups": len(multi),
-        "n_batched_cells": sum(len(u) for u in multi),
-        "n_singletons": len(units) - len(multi),
-        "n_degraded_groups": 0,
-        "groups": {},
-    }
-
-
-def _note_group(
-    group_stats: dict | None, base: Scenario, n_cells: int, timings: dict
-) -> None:
-    """Record one finished lockstep group under its cap-free hash."""
-    if group_stats is not None:
-        group_stats["groups"][base.with_(caps=()).scenario_hash()] = {
-            "cells": n_cells,
-            "elapsed_seconds": timings.get("elapsed", 0.0),
-            "warm": bool(timings.get("warm")),
-            "fork_t": timings.get("fork_t", 0.0),
+    counts.update(
+        {
+            "groups.n_groups": len(multi),
+            "groups.n_batched_cells": sum(len(u) for u in multi),
+            "groups.n_singletons": len(units) - len(multi),
         }
+    )
+
+
+def place_units(
+    scenarios: Sequence[Scenario],
+    grouped: bool,
+    workers: int,
+    cost_model: CostModel | None = None,
+) -> list[tuple[GroupEstimate, int]]:
+    """The pool's schedule: every unit's cost estimate and the worker
+    its greedy LPT placement predicts, in dispatch order.  Lockstep
+    groups and singletons share the one queue.  ``repro exp run
+    --plan`` prints exactly this."""
+    model = cost_model if cost_model is not None else CostModel()
+    return assign_workers(
+        [model.estimate_group(scenarios, u) for u in _units(scenarios, grouped)],
+        workers,
+    )
 
 
 class BatchBackend(ExecutionBackend):
@@ -169,33 +179,30 @@ class BatchBackend(ExecutionBackend):
         retry: RetryPolicy | None = None,
         timeout: float | None = None,
         checkpoints: Any = None,
-        tally: Any = None,
+        counts: Counter,
         profile_dir: str | None = None,
-        cost_model: Any = None,
-        group_stats: dict | None = None,
-        transfer: Any = None,
+        cost_model: CostModel | None = None,
     ) -> Iterator[TaskOutcome]:
         """Execute ``scenarios`` unit by unit in this process.
 
-        ``checkpoints``/``tally`` thread the runner's warm-start store
-        through every unit — a group of one still reuses (and seeds)
-        the shared prefix — and the runner's tally is mutated directly.
+        ``checkpoints`` threads the runner's warm-start store through
+        every unit — a group of one still reuses (and seeds) the shared
+        prefix — and every count goes straight into ``counts``.
         ``timeout`` cannot be enforced in-process (nothing preempts a
-        running replay from inside its own process), so a grouped run
-        warns and points at ``batch-pool``.  ``cost_model`` and
-        ``transfer`` are accepted for parity with :class:`PoolBackend`:
-        in-process order cannot change the makespan, and nothing
-        crosses a process boundary.
+        running replay from inside its own process), so it warns and
+        points at the pool backends.  ``cost_model`` is accepted for
+        parity with :class:`PoolBackend`: in-process order cannot
+        change the makespan.
         """
         from repro.exp import runner
 
-        if timeout is not None and self.grouped:
+        if timeout is not None:
             warnings.warn(
-                "the in-process batch backend cannot enforce per-scenario "
-                "timeouts (a running replay cannot be preempted from its "
-                "own process); the timeout is ignored — use "
-                "--backend batch-pool to run lockstep groups under the "
-                "pool's hung-worker kill path",
+                f"the in-process {self.name} backend cannot enforce "
+                "per-scenario timeouts (a running replay cannot be "
+                "preempted from its own process); the timeout is ignored "
+                "— use --backend pool or batch-pool with --workers > 1 to "
+                "run under the pool's hung-worker kill path",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -206,29 +213,26 @@ class BatchBackend(ExecutionBackend):
             if plan is not None and plan.fault_for(sc.scenario_hash()) is not None
         }
         units = _units(scenarios, self.grouped, faulty)
-        if self.grouped and group_stats is not None:
-            group_stats.update(_group_stats(units))
+        if self.grouped:
+            _count_units(units, counts)
         for unit in units:
             cells = [scenarios[i] for i in unit]
             if len(unit) > 1:
                 try:
-                    timings, payloads = runner._replay_group(
+                    payloads = runner._replay_group(
                         cells,
                         series=series,
                         grid_dt=grid_dt,
                         checkpoints=checkpoints,
-                        tally=tally,
+                        counts=counts,
                         profile_dir=profile_dir,
                     )
                 except Exception:  # noqa: BLE001 - degrade, don't lose the group
                     # The failure has no single owner yet; solo re-runs
                     # attribute (and retry) it exactly.
-                    if group_stats is not None:
-                        group_stats["n_degraded_groups"] += 1
+                    counts["groups.n_degraded_groups"] += 1
                 else:
-                    _note_group(group_stats, cells[0], len(unit), timings)
-                    for i, payload in zip(unit, payloads):
-                        yield i, payload, 0
+                    yield from zip(unit, payloads)
                     continue
             for i, sc in zip(unit, cells):
                 outcome, retries = run_with_retry(
@@ -238,13 +242,14 @@ class BatchBackend(ExecutionBackend):
                         series=series,
                         grid_dt=grid_dt,
                         checkpoints=checkpoints,
-                        tally=tally,
+                        counts=counts,
                         profile_dir=profile_dir,
                     ),
                     label=sc.scenario_hash(),
                     retry=retry,
                 )
-                yield i, outcome, retries
+                counts["retries"] += retries
+                yield i, outcome
 
 
 #: pools that must not survive interpreter shutdown (see _atexit_reap)
@@ -384,11 +389,9 @@ class PoolBackend(ExecutionBackend):
         retry: RetryPolicy | None = None,
         timeout: float | None = None,
         checkpoints: Any = None,
-        tally: Any = None,
+        counts: Counter,
         profile_dir: str | None = None,
-        cost_model: Any = None,
-        group_stats: dict | None = None,
-        transfer: Any = None,
+        cost_model: CostModel | None = None,
     ) -> Iterator[TaskOutcome]:
         """The crash-surviving dispatch loop over every unit.
 
@@ -402,14 +405,13 @@ class PoolBackend(ExecutionBackend):
         suspect groups degrade.  On a timeout — a group's budget is
         ``timeout`` times its cell count — only the offender is
         charged (or degraded); the other in-flight units requeue.
+        Every re-execution of a solo unit counts as a retry, charged or
+        not; each task's own counter is merged into ``counts``.
         """
         from repro.exp import runner
-        from repro.exp.costmodel import CostModel, assign_workers
         from repro.platform import get_platform
 
         policy = retry if retry is not None else RetryPolicy(max_attempts=1)
-        if transfer is None:
-            transfer = _shm.TransferTally()
         plan = _faults.active_plan()
         specs = {
             name: get_platform(name).to_dict()
@@ -424,35 +426,16 @@ class PoolBackend(ExecutionBackend):
             shm_prefix=self._shm_prefix if series else None,
         )
         # LPT order: heavy units first, so the makespan approaches
-        # total/workers.  The worker column is the placement the
-        # estimate predicts; dispatch stays dynamic, so a wrong
-        # estimate costs order, never correctness.
-        model = cost_model if cost_model is not None else CostModel()
-        placed = assign_workers(
-            [
-                model.estimate_group(scenarios, u)
-                for u in _units(scenarios, self.grouped)
-            ],
-            self.workers,
-        )
-        units = [est.indices for est, _ in placed]
-        if self.grouped and group_stats is not None:
-            group_stats.update(_group_stats(units))
-            group_stats["plan"] = [
-                {
-                    "group": est.group,
-                    "label": est.label,
-                    "cells": est.n_cells,
-                    "est_seconds": est.seconds,
-                    "source": est.source,
-                    "worker": w,
-                }
-                for est, w in placed
-                if est.n_cells > 1
-            ]
+        # total/workers.  Dispatch stays dynamic, so a wrong estimate
+        # costs order, never correctness.
+        units = [
+            est.indices
+            for est, _ in place_units(scenarios, self.grouped, self.workers, cost_model)
+        ]
+        if self.grouped:
+            _count_units(units, counts)
         execs = [0] * len(units)
         charges = [0] * len(units)
-        retries = [0] * len(units)
         # (unit, ready_at) queues: wide dispatch runs through
         # `pending`, crash attribution through `isolate`.
         pending = deque((u, 0.0) for u in range(len(units)))
@@ -480,19 +463,17 @@ class PoolBackend(ExecutionBackend):
                 **common,
             )
             # Charge what actually crosses the pipe.
-            transfer.note_envelope((task, item))
+            counts["transfer.bytes_shipped"] += len(pickle.dumps((task, item)))
             inflight[self._get_pool(n_procs).submit(task, item)] = (u, time.monotonic())
 
         def degrade(u: int) -> None:
             """A group is never retried as a group: its cells requeue
             as fresh solo units."""
-            if group_stats is not None:
-                group_stats["n_degraded_groups"] += 1
+            counts["groups.n_degraded_groups"] += 1
             for i in units[u]:
                 units.append((i,))
                 execs.append(0)
                 charges.append(0)
-                retries.append(0)
                 pending.append((len(units) - 1, 0.0))
 
         def charge(u: int, exc: BaseException | None, kind: str) -> TaskFailure | None:
@@ -501,7 +482,7 @@ class PoolBackend(ExecutionBackend):
             charges[u] += 1
             retryable = exc is None or policy.is_retryable(exc)
             if retryable and charges[u] < policy.max_attempts:
-                retries[u] += 1
+                counts["retries"] += 1
                 label = scenarios[units[u][0]].scenario_hash()
                 delay = policy.backoff(label, charges[u])
                 isolate.append((u, time.monotonic() + delay))
@@ -528,7 +509,7 @@ class PoolBackend(ExecutionBackend):
                 return
             failure = charge(u, exc, kind)
             if failure is not None:
-                yield units[u][0], failure, retries[u]
+                yield units[u][0], failure
 
         def ready(queue: deque[tuple[int, float]]) -> int | None:
             if queue and queue[0][1] <= time.monotonic():
@@ -565,7 +546,7 @@ class PoolBackend(ExecutionBackend):
                 for fut in done:
                     u, _started = inflight.pop(fut)
                     try:
-                        tally_dict, timings, payloads = fut.result()
+                        task_counts, payloads = fut.result()
                     except BrokenProcessPool:
                         suspects = [u] + [v for v, _ in inflight.values()]
                         inflight.clear()
@@ -573,17 +554,8 @@ class PoolBackend(ExecutionBackend):
                     except Exception as exc:  # noqa: BLE001 - classified by policy
                         yield from fail(u, exc, "error")
                         continue
-                    if tally is not None and tally_dict:
-                        tally.add(tally_dict)
-                    xfer = timings.pop("xfer", None)
-                    if xfer:
-                        transfer.add(xfer)
-                    if len(units[u]) > 1:
-                        _note_group(
-                            group_stats, scenarios[units[u][0]], len(units[u]), timings
-                        )
-                    for i, payload in zip(units[u], payloads):
-                        yield i, payload, retries[u]
+                    counts.update(task_counts)
+                    yield from zip(units[u], payloads)
 
                 if suspects is not None:
                     self._respawn(n_procs)
@@ -598,7 +570,7 @@ class PoolBackend(ExecutionBackend):
                         else:
                             # Ambiguous: isolate, uncharged (the re-run
                             # still counts as a retry in the report).
-                            retries[v] += 1
+                            counts["retries"] += 1
                             isolate.append((v, 0.0))
                     continue
 
@@ -621,7 +593,7 @@ class PoolBackend(ExecutionBackend):
                         self._respawn(n_procs)
                         for u in reversed(innocents):
                             if len(units[u]) == 1:
-                                retries[u] += 1
+                                counts["retries"] += 1
                             pending.appendleft((u, 0.0))
                         for u in offenders:
                             yield from fail(u, None, "timeout")

@@ -52,9 +52,8 @@ import hashlib
 import json
 import math
 import re
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from collections import Counter, OrderedDict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -145,31 +144,6 @@ class LRUCache:
 #: per-process memo of loaded checkpoint fork states by (root, key) —
 #: fork states are multi-MB array dicts, so the bound stays tight
 FORK_STATE_CACHE = LRUCache(maxsize=4)
-
-
-@dataclass
-class CheckpointTally:
-    """Warm-start accounting for one sweep: store hits, misses (cold
-    prefix replays that then publish), and published checkpoints."""
-
-    hits: int = 0
-    misses: int = 0
-    publishes: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "publishes": self.publishes,
-        }
-
-    def add(self, other: Mapping[str, int]) -> None:
-        self.hits += int(other.get("hits", 0))
-        self.misses += int(other.get("misses", 0))
-        self.publishes += int(other.get("publishes", 0))
-
-    def __bool__(self) -> bool:
-        return bool(self.hits or self.misses or self.publishes)
 
 
 class CheckpointStore:
@@ -395,32 +369,34 @@ class WarmStart:
     batch's own fork time; ``publish`` persists a freshly captured
     prefix (skipping the write when the exact key already exists —
     checkpoint content is a pure function of its key, so the stored
-    bytes are already identical).  Every probe and publish is tallied.
+    bytes are already identical).  Every probe and publish is counted
+    into ``counts`` as ``checkpoints.hits``, ``checkpoints.misses`` or
+    ``checkpoints.publishes``.
     """
 
     def __init__(
         self,
         store: CheckpointStore,
         group: str,
-        tally: CheckpointTally | None = None,
+        counts: Counter | None = None,
     ) -> None:
         self.store = store
         self.group = group
-        self.tally = tally if tally is not None else CheckpointTally()
+        self.counts = counts if counts is not None else Counter()
 
     def load(self, max_horizon: float) -> dict | None:
         state = self.store.best(self.group, max_horizon)
         if state is None:
-            self.tally.misses += 1
+            self.counts["checkpoints.misses"] += 1
         else:
-            self.tally.hits += 1
+            self.counts["checkpoints.hits"] += 1
         return state
 
     def publish(self, horizon: float, state: dict) -> None:
         if self.store.has(checkpoint_key(self.group, horizon)):
             return
         self.store.put(self.group, horizon, state)
-        self.tally.publishes += 1
+        self.counts["checkpoints.publishes"] += 1
 
 
 def make_checkpoint_store(spec: str) -> CheckpointStore:

@@ -17,14 +17,16 @@ The vocabulary shared by every execution backend and the
   alongside results (``<key>.fail.json``) so a resumed sweep knows
   what failed last time and can skip or retry it;
 * :class:`SweepReport` — the structured outcome of one
-  :meth:`GridRunner.sweep`: results, failures, skips, retry/heal
-  tallies, and the store's health counters.
+  :meth:`GridRunner.sweep`: results, failures, skips, heals, the
+  store's health counters, and one :class:`collections.Counter` of
+  everything else the sweep tallied.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence, Tuple
 
@@ -41,9 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: terminal failure kinds
 FAILURE_KINDS = ("crash", "timeout", "error")
 
-#: what a fault-tolerant map yields per item:
-#: ``(index, result_or_TaskFailure, retries)``
-TaskOutcome = Tuple[int, Any, int]
+#: what a backend yields per scenario: ``(index, result_or_TaskFailure)``
+TaskOutcome = Tuple[int, Any]
+
+#: the keys of each dict view of :attr:`SweepReport.counts`; the
+#: counter holds them as ``<view>.<key>``
+_COUNT_VIEWS = {
+    "checkpoints": ("hits", "misses", "publishes"),
+    "transfer": ("bytes_shipped", "bytes_shared", "segments", "fallbacks"),
+    "groups": ("n_groups", "n_batched_cells", "n_singletons", "n_degraded_groups"),
+}
 
 #: ``GridRunner`` terminal-failure dispositions
 ON_ERROR_MODES = ("raise", "skip", "quarantine")
@@ -202,32 +211,42 @@ class SweepReport:
     ``skipped`` are known-bad scenarios not re-attempted under
     ``on_error="skip"``; ``healed`` are scenarios whose persisted
     failure record was cleared by a successful re-run.
+
+    Every count of the sweep lives in one :class:`collections.Counter`,
+    ``counts``: the runner, the backend, the warm-start adapter and
+    each pool task add to it (a worker fills its own and the pool merges
+    it).  ``n_hits``, ``n_executed``, ``n_retries``, ``checkpoints``,
+    ``transfer`` and ``groups`` are views of it.
     """
 
     results: list["RunResult"] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)
     skipped: list[FailureRecord] = field(default_factory=list)
     healed: list[str] = field(default_factory=list)  # scenario names
-    n_hits: int = 0
-    n_executed: int = 0
-    n_retries: int = 0
     backend: str = ""
     wall_seconds: float = 0.0
     store_health: dict[str, int] = field(default_factory=dict)
-    #: warm-start accounting when a checkpoint store was configured
-    #: (see :class:`repro.exp.checkpoints.CheckpointTally`); empty when
-    #: no store was in play or no cell was fork-eligible
-    checkpoints: dict[str, int] = field(default_factory=dict)
-    #: lockstep-group accounting when a grouped backend ran
-    #: (batch / batch-pool): group/singleton counts, degradations, the
-    #: LPT dispatch plan (batch-pool), and per-group elapsed/warm stats
-    #: keyed by cap-free scenario hash; empty otherwise
-    groups: dict[str, Any] = field(default_factory=dict)
-    #: data-plane accounting when a pool backend ran (see
-    #: :class:`repro.exp.shm.TransferTally`): bytes shipped through
-    #: pickle vs shared through shm segments, pickle fallbacks; empty
-    #: for in-process execution
-    transfer: dict[str, int] = field(default_factory=dict)
+    #: ``hits`` (result-store hits), ``executed``, ``retries``, and the
+    #: ``<view>.<key>`` entries of :data:`_COUNT_VIEWS`
+    counts: Counter = field(default_factory=Counter)
+
+    n_hits = property(lambda self: self.counts["hits"])
+    n_executed = property(lambda self: self.counts["executed"])
+    #: re-executions, charged or not: a pool break or a timeout kill
+    #: also re-runs the innocent cells it took down
+    n_retries = property(lambda self: self.counts["retries"])
+    checkpoints = property(lambda self: self._view("checkpoints"))
+    transfer = property(lambda self: self._view("transfer"))
+    groups = property(lambda self: self._view("groups"))
+
+    def _view(self, name: str) -> dict[str, int]:
+        """One :data:`_COUNT_VIEWS` entry as a dict with every key, or
+        ``{}`` when the counter holds none of its keys: no checkpoint
+        probe, nothing across a process boundary, no grouped backend."""
+        keys = {k: f"{name}.{k}" for k in _COUNT_VIEWS[name]}
+        if not any(full in self.counts for full in keys.values()):
+            return {}
+        return {k: self.counts[full] for k, full in keys.items()}
 
     @property
     def quarantined(self) -> list[FailureRecord]:

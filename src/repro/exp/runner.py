@@ -26,6 +26,7 @@ import hashlib
 import math
 import time
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -44,7 +45,6 @@ from repro.exp.backends import (
 )
 from repro.exp.checkpoints import (
     CheckpointStore,
-    CheckpointTally,
     WarmStart,
     checkpoint_group,
     make_checkpoint_store,
@@ -265,7 +265,7 @@ def replay_scenario(
     scenario: Scenario,
     *,
     checkpoints: CheckpointStore | None = None,
-    tally: CheckpointTally | None = None,
+    counts: Counter | None = None,
 ) -> ReplayResult:
     """Run the full replay of a scenario (in-process, full telemetry).
 
@@ -275,7 +275,8 @@ def replay_scenario(
     digests — probing the store for its cap-free prefix before
     replaying it cold, and publishing the prefix on a miss so the next
     run (any backend, any process, any machine) warm-starts.  Probes
-    and publishes are tallied into ``tally`` when given.
+    and publishes are counted into ``counts`` when given (see
+    :class:`~repro.exp.checkpoints.WarmStart`).
     """
     from repro.platform import get_platform
 
@@ -294,7 +295,7 @@ def replay_scenario(
     if checkpoints is not None:
         from repro.sim.batch import run_replay_batch
 
-        warm = WarmStart(checkpoints, checkpoint_group(scenario), tally)
+        warm = WarmStart(checkpoints, checkpoint_group(scenario), counts)
         return run_replay_batch(
             machine,
             jobs,
@@ -365,7 +366,7 @@ def run_scenario(
     *,
     attempt: int = 1,
     checkpoints: CheckpointStore | None = None,
-    tally: CheckpointTally | None = None,
+    counts: Counter | None = None,
     profile_dir: str | Path | None = None,
 ) -> RunResult:
     """Replay one scenario and condense it into a :class:`RunResult`.
@@ -373,12 +374,12 @@ def run_scenario(
     ``attempt`` is the 1-based execution count — the fault-injection
     hook keys on it, so a ``times=1`` fault fails the first attempt
     and lets the retry through.  A no-op unless a plan is armed.
-    ``checkpoints``/``tally`` thread warm starts into the replay (see
+    ``checkpoints``/``counts`` thread warm starts into the replay (see
     :func:`replay_scenario`); ``profile_dir`` wraps it in cProfile.
     """
     return _replay_cell(
         scenario, attempt, series=False, grid_dt=0.0,
-        checkpoints=checkpoints, tally=tally, profile_dir=profile_dir,
+        checkpoints=checkpoints, counts=counts, profile_dir=profile_dir,
     )
 
 
@@ -388,14 +389,14 @@ def run_scenario_with_series(
     grid_dt: float = 300.0,
     attempt: int = 1,
     checkpoints: CheckpointStore | None = None,
-    tally: CheckpointTally | None = None,
+    counts: Counter | None = None,
     profile_dir: str | Path | None = None,
 ) -> tuple[RunResult, dict[str, np.ndarray]]:
     """Replay one scenario; return the condensed result *and* the
     Figure 6/7 grid series (the payload behind ``.npz`` caching)."""
     return _replay_cell(
         scenario, attempt, series=True, grid_dt=grid_dt,
-        checkpoints=checkpoints, tally=tally, profile_dir=profile_dir,
+        checkpoints=checkpoints, counts=counts, profile_dir=profile_dir,
     )
 
 
@@ -406,7 +407,7 @@ def _replay_cell(
     series: bool,
     grid_dt: float,
     checkpoints: CheckpointStore | None = None,
-    tally: CheckpointTally | None = None,
+    counts: Counter | None = None,
     profile_dir: str | Path | None = None,
 ) -> Any:
     """One solo unit in this process: the :class:`RunResult`, or
@@ -414,7 +415,7 @@ def _replay_cell(
     _faults.maybe_fire(scenario.scenario_hash(), attempt)
     t0 = time.perf_counter()
     with _profiled(scenario.scenario_hash(), profile_dir):
-        result = replay_scenario(scenario, checkpoints=checkpoints, tally=tally)
+        result = replay_scenario(scenario, checkpoints=checkpoints, counts=counts)
     run = _condense(scenario, result, t0)
     if not series:
         return run
@@ -466,20 +467,18 @@ def _replay_group(
     series: bool,
     grid_dt: float,
     checkpoints: CheckpointStore | None = None,
-    tally: CheckpointTally | None = None,
+    counts: Counter | None = None,
     profile_dir: str | None = None,
     shm_prefix: str | None = None,
-    xfer: "_shm.TransferTally | None" = None,
-) -> tuple[dict[str, float], list[Any]]:
+) -> list[Any]:
     """One lockstep group in this process, through
     :func:`repro.sim.batch.run_replay_batch`.
 
-    Returns ``(timings, payloads)`` with one payload per cell in input
-    order (``RunResult``, or ``(RunResult, series)`` with ``series``;
-    the series rides an shm segment under ``shm_prefix`` when given).
-    Each cell's wall clock reports its share of the batch, so wall
-    sums stay comparable across backends; the group's full elapsed
-    rides on every cell and in ``timings["elapsed"]``.
+    Returns one payload per cell in input order (``RunResult``, or
+    ``(RunResult, series)`` with ``series``; the series rides an shm
+    segment under ``shm_prefix`` when given).  Each cell's wall clock
+    reports its share of the batch, so wall sums stay comparable
+    across backends; the group's full elapsed rides on every cell.
     """
     from repro.platform import get_platform
     from repro.sim.batch import run_replay_batch
@@ -499,11 +498,10 @@ def _replay_group(
         base.scale,
     )
     warm = (
-        WarmStart(checkpoints, checkpoint_group(base), tally)
+        WarmStart(checkpoints, checkpoint_group(base), counts)
         if checkpoints is not None
         else None
     )
-    timings: dict[str, float] = {}
     with _profiled(f"batch-{base.with_(caps=()).scenario_hash()}", profile_dir):
         replays = run_replay_batch(
             machine,
@@ -514,21 +512,19 @@ def _replay_group(
             config=base.build_config(),
             platform=platform,
             warm_start=warm,
-            timings=timings,
         )
     t_end = time.perf_counter()
     elapsed = t_end - t0
     share_t0 = t_end - elapsed / len(scenarios)
-    timings["elapsed"] = elapsed
     payloads: list[Any] = []
     for sc, rep in zip(scenarios, replays):
         result = replace(_condense(sc, rep, share_t0), elapsed_seconds=elapsed)
         if series:
             grid = dict(rep.recorder.to_grid(0.0, rep.duration, grid_dt))
-            payloads.append((result, _pack_series(grid, shm_prefix, xfer)))
+            payloads.append((result, _pack_series(grid, shm_prefix, counts)))
         else:
             payloads.append(result)
-    return timings, payloads
+    return payloads
 
 
 def _arm_worker(
@@ -555,7 +551,7 @@ def _arm_worker(
 def _pack_series(
     grid: dict[str, np.ndarray],
     shm_prefix: str | None,
-    tally: "_shm.TransferTally | None",
+    counts: Counter,
 ) -> Any:
     """Worker-side series transport: a segment descriptor when the
     data plane is on, the plain dict (pickle path) otherwise.
@@ -568,8 +564,8 @@ def _pack_series(
     payload = _shm.arena.place(grid, prefix=shm_prefix)
     if payload is not None:
         return payload
-    tally.fallbacks += 1
-    tally.bytes_shipped += sum(a.nbytes for a in grid.values())
+    counts["transfer.fallbacks"] += 1
+    counts["transfer.bytes_shipped"] += sum(a.nbytes for a in grid.values())
     return grid
 
 
@@ -587,27 +583,26 @@ def _run_task(
 ):
     """One solo cell as a pool work item (top-level so it pickles).
 
-    Returns ``(tally_dict, timings, [payload])``, the shape of
+    Returns ``(counts, [payload])``, the shape of
     :func:`_run_group_task`'s reply: a directory checkpoint store
     pickles as its path, so the worker probes/publishes the driver's
-    entries and its warm-start tally rides back in-band, as does the
-    transfer tally (under ``timings["xfer"]``).
+    entries, and its warm-start and transfer counts ride back for the
+    pool to merge into the sweep's counter.
     """
     _arm_worker(platforms, faults)
-    tally = CheckpointTally()
-    xfer = _shm.TransferTally()
+    counts: Counter = Counter()
     payload = _replay_cell(
         scenario,
         attempt,
         series=series,
         grid_dt=grid_dt,
         checkpoints=checkpoints,
-        tally=tally,
+        counts=counts,
         profile_dir=profile_dir,
     )
     if series:
-        payload = (payload[0], _pack_series(payload[1], shm_prefix, xfer))
-    return tally.to_dict(), ({"xfer": xfer.to_dict()} if xfer else {}), [payload]
+        payload = (payload[0], _pack_series(payload[1], shm_prefix, counts))
+    return counts, [payload]
 
 
 def _run_group_task(
@@ -625,8 +620,8 @@ def _run_group_task(
     """One whole lockstep group as a pool work item (top-level so it
     pickles to workers).
 
-    Returns ``(tally_dict, timings, payloads)`` with one payload per
-    cell in input order (see :func:`_replay_group`).  Any exception —
+    Returns ``(counts, payloads)`` with one payload per cell in input
+    order (see :func:`_replay_group`).  Any exception —
     including a planned fault fired by a member cell, which on the
     pool may kill this whole worker — is the driver's signal to
     degrade the group to solo units.
@@ -638,21 +633,17 @@ def _run_group_task(
         # the solo path — except a crash kills a *worker*, not the
         # driver, and costs its group the lockstep speedup only.
         _faults.maybe_fire(sc.scenario_hash(), attempt)
-    tally = CheckpointTally()
-    xfer = _shm.TransferTally()
-    timings, payloads = _replay_group(
+    counts: Counter = Counter()
+    payloads = _replay_group(
         scenarios,
         series=series,
         grid_dt=grid_dt,
         checkpoints=checkpoints,
-        tally=tally,
+        counts=counts,
         profile_dir=profile_dir,
         shm_prefix=shm_prefix,
-        xfer=xfer,
     )
-    if xfer:
-        timings["xfer"] = xfer.to_dict()
-    return tally.to_dict(), timings, payloads
+    return counts, payloads
 
 
 class GridRunner:
@@ -665,7 +656,10 @@ class GridRunner:
     :class:`~repro.exp.backends.ExecutionBackend` executes the rest
     (in-process, across a worker pool, or only its deterministic shard
     of a split sweep), and fresh results are written back to the store
-    before being returned in input order.
+    before being returned in input order.  :meth:`sweep` also returns
+    what it did as a :class:`~repro.exp.resilience.SweepReport`, whose
+    hit, execution, retry, warm-start, transfer and group counts are
+    views of one :class:`collections.Counter`.
 
     Parameters
     ----------
@@ -718,9 +712,10 @@ class GridRunner:
         scenario by the backend.  ``None`` (default) means one
         attempt, no retries — failures are terminal immediately.
     timeout:
-        Per-scenario wall-clock budget in seconds, enforced where the
-        backend can (the process pool kills and respawns hung
-        workers); ``None`` disables.
+        Per-scenario wall-clock budget in seconds; ``None`` disables.
+        Only a pool of two or more workers enforces it (it kills and
+        respawns hung workers); the in-process backends warn and
+        ignore it.
     on_error:
         Disposition of terminally-failed scenarios: ``"raise"``
         (default — re-raise, the pre-fault-tolerance behaviour),
@@ -736,7 +731,7 @@ class GridRunner:
         persistent warm-start prefixes.  Every executed cell probes
         the store for its cap-free prefix before replaying it cold and
         publishes it on a miss (a lockstep group publishes once for all
-        its cells).  Hit/miss/publish tallies land
+        its cells).  Hit/miss/publish counts land
         in :attr:`SweepReport.checkpoints`.  An in-memory checkpoint
         store only helps in-process backends (pool workers would probe
         a pickled empty copy), so it is not shipped to pools.
@@ -880,9 +875,6 @@ class GridRunner:
         scenarios: Sequence[Scenario],
         *,
         progress: Callable[[RunResult], None] | None = None,
-        retry: RetryPolicy | None = None,
-        timeout: float | None = None,
-        on_error: str | None = None,
     ) -> SweepReport:
         """Execute ``scenarios`` fault-tolerantly; return the full
         :class:`~repro.exp.resilience.SweepReport`.
@@ -897,21 +889,19 @@ class GridRunner:
         quarantine.  A scenario with a persisted failure record from
         an earlier sweep is skipped outright under ``"skip"`` and
         re-attempted otherwise; a successful re-run deletes the
-        record (**heals** it).  Keyword overrides fall back to the
-        constructor's ``retry``/``timeout``/``on_error``.
+        record (**heals** it).
+
+        Every count lands in the report's one counter,
+        :attr:`SweepReport.counts`: store hits and executions here,
+        retries and group tallies in the backend, warm-start probes in
+        the replay, transfer bytes at both ends of the pool's pipe.
         """
         t_sweep = time.perf_counter()
-        mode = self.on_error if on_error is None else on_error
-        if mode not in ON_ERROR_MODES:
-            raise ValueError(
-                f"unknown on_error mode {mode!r}; expected one of {ON_ERROR_MODES}"
-            )
-        retry = self.retry if retry is None else retry
-        timeout = self.timeout if timeout is None else timeout
 
         scenarios = list(scenarios)
         results: list[RunResult | None] = [None] * len(scenarios)
         report = SweepReport(backend=self.backend.name)
+        counts = report.counts
 
         # Dedupe by content hash, drop foreign shards, serve store
         # hits, and settle known failures from earlier sweeps.
@@ -925,7 +915,7 @@ class GridRunner:
         def serve_hit(i: int, sc: Scenario, hit: RunResult) -> None:
             slot_result = hit if hit.scenario == sc else replace(hit, scenario=sc)
             results[i] = slot_result
-            report.n_hits += 1
+            counts["hits"] += 1
             if progress is not None:
                 progress(slot_result)
 
@@ -951,7 +941,7 @@ class GridRunner:
             if track_failures:
                 prior = self.store.get_failure(result_key(sc))
                 if prior is not None:
-                    if mode == "skip":
+                    if self.on_error == "skip":
                         # Known-bad: don't burn attempts on it again.
                         report.skipped.append(replace(prior, skipped=True))
                         settled.add(key)
@@ -972,15 +962,15 @@ class GridRunner:
                 error_type=failure.error_type,
                 message=failure.message,
                 attempts=failure.attempts,
-                quarantined=(mode == "quarantine"),
-                skipped=(mode == "skip"),
+                quarantined=(self.on_error == "quarantine"),
+                skipped=(self.on_error == "skip"),
                 recorded_at=time.time(),
             )
             failed.add(record.scenario_hash)
             report.failures.append(record)
             if track_failures:
                 self.store.put_failure(record.key, record)
-            if mode == "raise":
+            if self.on_error == "raise":
                 if failure.exception is not None:
                     raise failure.exception
                 raise SweepError(
@@ -995,11 +985,6 @@ class GridRunner:
         # back after the sweep.  Estimates only order the batch-pool
         # dispatch — they never touch results.
         cost_model = CostModel.from_store(self.store)
-        group_stats: dict[str, Any] = {}
-
-        # Data-plane accounting: bytes shipped by pool backends plus
-        # series segments adopted here (inert on in-process backends).
-        xfer = _shm.TransferTally()
 
         def collect_result(sc: Scenario, item: Any) -> None:
             if want_series:
@@ -1010,8 +995,8 @@ class GridRunner:
                     # closes and unlinks once they are persisted.
                     try:
                         with _shm.arena.adopt(series) as view:
-                            xfer.bytes_shared += view.nbytes
-                            xfer.segments += 1
+                            counts["transfer.bytes_shared"] += view.nbytes
+                            counts["transfer.segments"] += 1
                             self.store.put_series(
                                 result_key(result.scenario), view.arrays
                             )
@@ -1031,7 +1016,7 @@ class GridRunner:
             else:
                 result = item
             self.store.put(result_key(result.scenario), result)
-            report.n_executed += 1
+            counts["executed"] += 1
             if result.wall_seconds is not None:
                 # wall_seconds is the per-cell share even for batched
                 # cells — exactly the unit the scheduler estimates.
@@ -1054,7 +1039,6 @@ class GridRunner:
                     progress(slot_result)
 
         want_series = self._want_series
-        ckpt_tally = CheckpointTally()
         # An in-memory checkpoint store can't cross a process boundary
         # (workers would probe a pickled empty copy and publish into
         # the void), so only shareable stores ship to pools.
@@ -1065,17 +1049,14 @@ class GridRunner:
             to_run,
             series=want_series,
             grid_dt=self.store.series_dt if want_series else self.series_dt,
-            retry=retry,
-            timeout=timeout,
+            retry=self.retry,
+            timeout=self.timeout,
             checkpoints=self.checkpoints if use_ckpt else None,
-            tally=ckpt_tally,
+            counts=counts,
             profile_dir=None if self.profile_dir is None else str(self.profile_dir),
             cost_model=cost_model,
-            group_stats=group_stats,
-            transfer=xfer,
         )
-        for index, outcome, retries in outcomes:
-            report.n_retries += retries
+        for index, outcome in outcomes:
             if isinstance(outcome, TaskFailure):
                 record_failure(to_run[index], outcome)
             else:
@@ -1103,7 +1084,4 @@ class GridRunner:
         report.results = [r for r in results if r is not None]
         report.wall_seconds = time.perf_counter() - t_sweep
         report.store_health = self.store.health.to_dict()
-        report.checkpoints = ckpt_tally.to_dict() if ckpt_tally else {}
-        report.groups = group_stats
-        report.transfer = xfer.to_dict() if xfer else {}
         return report

@@ -25,9 +25,10 @@ task envelopes themselves, moves through this module:
   ``(name, caps)`` deltas, with each cell's content hash pinned so a
   drifting reconstruction fails loudly.
 
-* **Transfer accounting** — :class:`TransferTally` counts bytes
-  shipped through pickle, bytes shared through segments, and pickle
-  fallbacks; the per-sweep totals surface in ``SweepReport.transfer``.
+* **Transfer accounting** — bytes shipped through pickle, bytes
+  shared through segments, segments and pickle fallbacks are counted
+  into the sweep's counter as ``transfer.*`` and surface in
+  ``SweepReport.transfer``; :func:`transfer_summary` renders them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
-import pickle
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -52,7 +52,6 @@ __all__ = [
     "ShmAdoptError",
     "ShmPayload",
     "ShmView",
-    "TransferTally",
     "arena",
     "format_bytes",
     "live_segments",
@@ -420,48 +419,6 @@ class GroupEnvelope:
 
 
 # -- transfer accounting ---------------------------------------------------------------
-
-
-@dataclass
-class TransferTally:
-    """Per-sweep data-plane accounting (mirrors ``CheckpointTally``).
-
-    ``bytes_shipped`` counts pickled payloads on the wire (task
-    envelopes plus any series arrays that fell back to pickling);
-    ``bytes_shared`` counts segment bytes adopted zero-copy;
-    ``fallbacks`` counts series payloads that wanted shm but pickled
-    instead.
-    """
-
-    bytes_shipped: int = 0
-    bytes_shared: int = 0
-    segments: int = 0
-    fallbacks: int = 0
-
-    def add(self, d: Mapping[str, int] | "TransferTally") -> None:
-        if isinstance(d, TransferTally):
-            d = d.to_dict()
-        for key, value in d.items():
-            if hasattr(self, key):
-                setattr(self, key, getattr(self, key) + int(value))
-
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "bytes_shipped": self.bytes_shipped,
-            "bytes_shared": self.bytes_shared,
-            "segments": self.segments,
-            "fallbacks": self.fallbacks,
-        }
-
-    def __bool__(self) -> bool:
-        return any(self.to_dict().values())
-
-    def note_envelope(self, obj: Any, count: int = 1) -> None:
-        """Charge ``count`` shipments of ``obj``'s pickled size."""
-        try:
-            self.bytes_shipped += len(pickle.dumps(obj)) * count
-        except Exception:  # pragma: no cover - unpicklable in-process task
-            pass
 
 
 def format_bytes(n: int) -> str:

@@ -43,7 +43,6 @@ scheduling pass — exactly the relative orders a solo replay produces.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -562,7 +561,6 @@ def run_replay_batch(
     config: SchedulerConfig | None = None,
     platform=None,
     warm_start=None,
-    timings: dict | None = None,
 ) -> list[ReplayResult]:
     """Replay one workload under N cap sets in a single lockstep batch.
 
@@ -582,14 +580,6 @@ def run_replay_batch(
     computed prefix is published for future runs.  A batch of one cell
     with a warm-start adapter is exactly a solo replay that can skip
     its prefix.
-
-    ``timings``, when given, is filled with wall-clock accounting of
-    the batch: ``fork_t`` (the divergence horizon, ``0.0`` when no
-    fork happened), ``warm`` (``1.0`` on a warm-start hit), and
-    ``prefix_seconds``/``lockstep_seconds`` (time spent replaying or
-    restoring the shared prefix versus advancing the cells).  Purely
-    observational — feeds per-group sweep stats and the cost model's
-    shared-prefix calibration, never the replay itself.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -625,13 +615,10 @@ def run_replay_batch(
         min(_divergence_onset(c, slack) for c in cells), duration
     )
 
-    t_prefix = time.perf_counter()
-    warm_hit = False
     state = None
     if fork_t > 0 and warm_start is not None:
         state = warm_start.load(fork_t)
     if state is not None:
-        warm_hit = True
         # Store hit: nobody replays the prefix — every cell (donor
         # included) installs the persisted checkpoint.  The stored
         # horizon may be below this batch's fork_t (a sweep with
@@ -658,8 +645,6 @@ def run_replay_batch(
         for cell in cells:
             _schedule_submissions(cell, specs)
 
-    t_lockstep = time.perf_counter()
-
     # Lockstep: advance every cell to each shared window boundary, then
     # to the end of the replay.  A cell already past a boundary (the
     # donor after a vetoed fork) treats the slice as a no-op.
@@ -678,12 +663,6 @@ def run_replay_batch(
         cell.engine.run(until=duration)
 
     batch.verify()
-
-    if timings is not None:
-        timings["fork_t"] = fork_t
-        timings["warm"] = 1.0 if warm_hit else 0.0
-        timings["prefix_seconds"] = t_lockstep - t_prefix
-        timings["lockstep_seconds"] = time.perf_counter() - t_lockstep
 
     results = []
     for cell in cells:

@@ -326,12 +326,9 @@ class TestBatchPoolBackend:
         assert [r.trace_digest for r in report.results] == [
             r.trace_digest for r in serial
         ]
-        g = report.groups
-        assert g["n_groups"] == 2 and g["n_batched_cells"] == 6
-        assert g["n_singletons"] == 0 and g["n_degraded_groups"] == 0
-        assert len(g["plan"]) == 2 and len(g["groups"]) == 2
-        # LPT spreads two similar groups over both workers.
-        assert {p["worker"] for p in g["plan"]} == {0, 1}
+        assert report.groups == {
+            "n_groups": 2, "n_batched_cells": 6, "n_singletons": 0, "n_degraded_groups": 0,
+        }
         assert "lockstep group(s)" in report.summary()
         for res in report.results:
             # Batched cells carry the group's elapsed; wall reports
@@ -362,10 +359,13 @@ class TestBatchPoolBackend:
         ]
         assert report.groups["n_singletons"] == 1
 
-    def test_batch_timeout_warns_once_and_points_here(self):
+    @pytest.mark.parametrize("name", ["serial", "batch", "pool"])
+    def test_batch_timeout_warns_once_and_points_here(self, name):
+        # Every in-process backend ignores a timeout and says so:
+        # serial, batch, and a pool of one worker.
         sweep = self._cap_sweep(seeds=(5,), fracs=(0.4, 0.6))
         with pytest.warns(RuntimeWarning, match="batch-pool"):
-            with GridRunner(backend=make_backend("batch"), timeout=30.0) as r:
+            with GridRunner(backend=make_backend(name, workers=1), timeout=30.0) as r:
                 results = r.run(sweep)
         assert len(results) == 2
 
@@ -428,6 +428,62 @@ class TestBatchPoolBackend:
             assert [r.trace_digest for r in report.results] == [
                 r.trace_digest for r in serial
             ]
+
+
+#: the four count keys of ``SweepReport.groups``
+GROUP_COUNTS = ("n_groups", "n_batched_cells", "n_singletons", "n_degraded_groups")
+
+ONE_GROUP_PLUS_SINGLETON = {
+    "n_groups": 1, "n_batched_cells": 3, "n_singletons": 1, "n_degraded_groups": 0,
+}
+
+
+@pytest.mark.parametrize(
+    "name, workers, checkpoints, groups",
+    [
+        # Solo cells: the first group cell misses and publishes, its
+        # two siblings restore that prefix, the singleton misses and
+        # publishes its own.
+        ("serial", 1, {"hits": 2, "misses": 2, "publishes": 2}, {}),
+        ("pool", 2, {"hits": 2, "misses": 2, "publishes": 2}, {}),
+        # The group probes once for all three cells.
+        ("batch", 1, {"hits": 0, "misses": 2, "publishes": 2}, ONE_GROUP_PLUS_SINGLETON),
+        ("batch-pool", 2, {"hits": 0, "misses": 2, "publishes": 2}, ONE_GROUP_PLUS_SINGLETON),
+    ],
+)
+def test_one_sweep_counts_on_every_backend(tmp_path, name, workers, checkpoints, groups):
+    """One sweep, every count of its report pinned on all four backends.
+
+    The singleton fails once (transient) and succeeds on its retry.  It
+    replays the longest, so the pool dispatches it first: no two cells
+    of the group probe the empty checkpoint store at the same time,
+    which keeps the pool's checkpoint counts deterministic.
+    """
+    from repro.exp import DirectoryCheckpointStore
+
+    # IDLE under a late window forks at a real horizon (see
+    # test_warm_starts_publish_and_hit_across_runs).
+    base = TINY.with_(policy="IDLE", duration=2 * HOUR)
+    group = [
+        base.with_(name=f"cap{f}", caps=(CapWindow(5760.0, 6720.0, f),))
+        for f in (0.3, 0.4, 0.5)
+    ]
+    lone = TINY.with_(name="lone", seed=7, duration=3 * HOUR)
+    plan = FaultPlan(specs=(FaultSpec(lone.scenario_hash(), "transient"),))
+    with injected(plan):
+        with GridRunner(
+            backend=make_backend(name, workers=workers),
+            store=DirectoryStore(tmp_path / "results"),
+            checkpoints=DirectoryCheckpointStore(tmp_path / "ckpt"),
+            retry=RetryPolicy(max_attempts=2),
+        ) as runner:
+            report = runner.sweep(group + [lone])
+    assert report.ok and len(report.results) == 4
+    assert (report.n_hits, report.n_executed, report.n_retries) == (0, 4, 1)
+    assert report.checkpoints == checkpoints
+    assert {k: v for k, v in report.groups.items() if k in GROUP_COUNTS} == groups
+    # Only a pool ships tasks across a process boundary.
+    assert bool(report.transfer) == name.endswith("pool")
 
 
 class TestMergeHelpers:

@@ -133,10 +133,11 @@ class TestStorePlumbing:
         warm = WarmStart(store, checkpoint_group(TINY))
         warm.publish(1800.0, fake_state(1800.0))
         warm.publish(1800.0, fake_state(1800.0))
-        assert warm.tally.publishes == 1
+        assert warm.counts["checkpoints.publishes"] == 1
         assert warm.load(2000.0) is not None
         assert warm.load(100.0) is None
-        assert (warm.tally.hits, warm.tally.misses) == (1, 1)
+        assert warm.counts["checkpoints.hits"] == 1
+        assert warm.counts["checkpoints.misses"] == 1
 
 
 class TestSchemaAndCorruption:

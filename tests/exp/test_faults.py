@@ -573,11 +573,9 @@ class TestSweepReportAndAccounting:
             name = "lossy"
 
             def run_scenarios(self, scenarios, **kwargs):
-                for i, outcome, retries in super().run_scenarios(
-                    scenarios, **kwargs
-                ):
+                for i, outcome in super().run_scenarios(scenarios, **kwargs):
                     if i != 0:  # silently drop the first item
-                        yield i, outcome, retries
+                        yield i, outcome
 
         with GridRunner(backend=LossyBackend(grouped=False)) as r:
             with pytest.raises(SweepError) as exc_info:

@@ -20,7 +20,6 @@ from repro.exp.shm import (
     SharedArena,
     ShmAdoptError,
     ShmPayload,
-    TransferTally,
     arena,
 )
 
@@ -198,24 +197,7 @@ class TestGroupEnvelope:
 
 
 class TestTransferTally:
-    def test_add_bool_and_dict(self):
-        t = TransferTally()
-        assert not t
-        t.add({"bytes_shipped": 10, "fallbacks": 2, "unknown": 5})
-        u = TransferTally(bytes_shared=7, segments=1)
-        u.add(t)
-        assert u.to_dict() == {
-            "bytes_shipped": 10,
-            "bytes_shared": 7,
-            "segments": 1,
-            "fallbacks": 2,
-        }
-        assert u
-
-    def test_note_envelope_counts_pickled_size(self):
-        t = TransferTally()
-        t.note_envelope({"k": 1}, count=3)
-        assert t.bytes_shipped == 3 * len(__import__("pickle").dumps({"k": 1}))
+    """Rendering of the ``SweepReport.transfer`` counts."""
 
     def test_format_bytes(self):
         assert shm.format_bytes(512) == "512 B"
@@ -355,13 +337,14 @@ class TestCrashCleanup:
         )
         backend = make_backend("batch-pool", workers=2)
         with injected(plan):
-            with GridRunner(backend=backend, store=MemoryStore()) as runner:
-                report = runner.sweep(
-                    cells,
-                    retry=RetryPolicy(max_attempts=1),
-                    timeout=2.0,
-                    on_error="quarantine",
-                )
+            with GridRunner(
+                backend=backend,
+                store=MemoryStore(),
+                retry=RetryPolicy(max_attempts=1),
+                timeout=2.0,
+                on_error="quarantine",
+            ) as runner:
+                report = runner.sweep(cells)
         assert backend.n_respawns >= 1
         assert len(report.results) == 1 and len(report.failures) == 1
         assert not shm.live_segments(backend._shm_prefix)

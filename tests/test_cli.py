@@ -87,6 +87,21 @@ class TestExpRun:
         code, second = run_cli(capsys, *args)
         assert code == 0 and "(cache)" in second
 
+    def test_plan_places_groups_and_singletons_in_one_queue(self, capsys):
+        # One 3-cell cap group plus two unrelated library cells: the
+        # plan is the pool's own queue, so it places all five cells.
+        code, out = run_cli(
+            capsys,
+            "exp", "run",
+            "--scenario", "fig7a-bigjob-shut-60",
+            "--scenario", "fig7b-smalljob-dvfs-40",
+            "--grid", "interval=medianjob", "policy=MIX", "cap=0.6,0.5,0.4",
+            "--workers", "2", "--plan",
+            *TINY_NAMED,
+        )
+        assert code == 0
+        assert "3 group(s), 5 cell(s)" in out
+
     def test_unknown_scenario_lists_library(self, capsys):
         with pytest.raises(SystemExit, match="fig6-24h-mix-40"):
             main(["exp", "run", "--scenario", "nope"])
