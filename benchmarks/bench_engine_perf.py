@@ -98,8 +98,8 @@ def test_perf_queue_priority_order(benchmark):
         )
         q.add(Job(spec=spec, n_nodes=1))
 
-    order = benchmark(q.order, 2e5)
-    assert len(order) == 5000
+    ids, _, _ = benchmark(q.order, 2e5)
+    assert len(ids) == 5000
 
 
 def test_perf_small_replay(benchmark):

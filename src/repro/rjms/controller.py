@@ -13,6 +13,29 @@ queue, the reservations, and the two-phase powercap algorithm:
 Scheduling passes implement SLURM's pipeline: multifactor priority
 ordering, FCFS until the first blocked job, then EASY backfilling
 bounded by ``backfill_depth``.
+
+Most candidates of a pass cannot start for reasons that need no
+frequency decision, so the pass screens its ranked candidates with
+array bounds first and runs Algorithm 2, the EASY check and node
+placement (``_try_start``) only on those that pass all three:
+
+(a) ``n_nodes <= free_total``;
+(b) once the blocker's EASY window exists: ``n_nodes <= extra_nodes``
+    or ``now + walltime <= shadow_time``;
+(c) when ``n_nodes > free_clear``: no pending shutdown reservation
+    starts before ``now + walltime``.
+
+Each bound is one of ``_try_start``'s own checks with the expected
+end ``now + walltime * degradation`` replaced by ``now + walltime``.
+That is exact, not a heuristic: every degradation factor is at least 1
+(``degradation_factor`` rejects ``degmin < 1``), and IEEE multiplication
+and addition round monotonically, so ``now + walltime * degradation >=
+now + walltime`` holds in floating point too; the EASY test and
+``ShutdownReservation.overlaps`` only get harder to pass as the end
+grows.  A candidate that fails a bound is one ``_try_start`` would
+reject without side effects, and the first candidate that fails,
+screened or not, still becomes the blocker.  Power rejections are not
+screened: they still go through ``decide``.
 """
 
 from __future__ import annotations
@@ -497,45 +520,82 @@ class Controller:
             return
         pending_sds = self._pending_shutdowns(now)
         alloc = _PassAllocator(free_ids, self._reserved_mask)
-
-        view = PowercapView(
-            self.registry, self.accountant, now, self.running.values()
-        ) if self.policy.enforces_caps else PowercapView(
-            ReservationRegistry(0), self.accountant, now, ()
+        ids, widths, walltimes = self.queue.order(
+            now, limit=self.config.backfill_depth
         )
-
-        order = self.queue.order(now, limit=self.config.backfill_depth)
-        window: BackfillWindow | None = None
-        tested = 0
+        # The screen (see the module docstring): a candidate reaches
+        # _try_start only if (a) it fits the free nodes, (b) it fits
+        # the blocker's EASY window, and (c) it fits the clear nodes or
+        # ends before every pending shutdown starts.  `ends` is a floor
+        # on each expected end, as no degradation factor is below 1, so
+        # a candidate failing a bound is one _try_start would reject
+        # without side effects.
+        ends = now + walltimes
+        clear_of_shutdowns = ends <= min(
+            (sd.start for sd in pending_sds), default=math.inf
+        )
+        view: PowercapView | None = None
         #: per-pass memo of frequency decisions keyed by the decision's
         #: full input (n_nodes, walltime); the view only changes when a
         #: job starts, which clears the memo (walltimes cluster on the
         #: default limit and the queue-menu grains, so blocked passes
         #: collapse to a handful of distinct ladder walks)
         decide_cache: dict[tuple[int, float], object] = {}
-        for jid in order:
-            if tested >= self.config.backfill_depth:
-                break
-            tested += 1
-            job = self.queue.job(int(jid))
-            started = self._try_start(
+
+        def try_start(pos: int, window: BackfillWindow | None) -> bool:
+            nonlocal view
+            if view is None:
+                # Built on first use: nothing has started yet this
+                # pass, so it sees what a pass-start view would.
+                view = (
+                    PowercapView(
+                        self.registry, self.accountant, now, self.running.values()
+                    )
+                    if self.policy.enforces_caps
+                    else PowercapView(ReservationRegistry(0), self.accountant, now, ())
+                )
+            job = self.queue.job(int(ids[pos]))
+            return self._try_start(
                 job, now, view, alloc, pending_sds, window, decide_cache
             )
-            if not started and window is None:
-                # This is the blocker: compute its EASY reservation.
-                window = easy_backfill_window(
-                    job.n_nodes,
-                    alloc.free_total,
-                    self._running_snapshot_sorted(),
-                    now,
-                    presorted=True,
-                )
-                if not self.config.backfill:
-                    break
-            if alloc.free_total == 0:
-                # No allocation can succeed any more; the remaining
-                # candidates could only be tested and rejected.
+
+        # FCFS: candidates start in priority order until one cannot,
+        # by bound (a) or (c) or inside _try_start.
+        pos = 0
+        while pos < len(ids):
+            fits = widths[pos] <= alloc.free_total and (
+                clear_of_shutdowns[pos] or widths[pos] <= alloc.free_clear
+            )
+            if not (fits and try_start(pos, None)):
                 break
+            pos += 1
+        if pos == len(ids) or alloc.free_total == 0 or not self.config.backfill:
+            return
+        # That candidate is the blocker: compute its EASY reservation.
+        window = easy_backfill_window(
+            self.queue.job(int(ids[pos])).n_nodes,
+            alloc.free_total,
+            self._running_snapshot_sorted(),
+            now,
+            presorted=True,
+        )
+        in_window = (widths <= window.extra_nodes) | (ends <= window.shadow_time)
+        # Backfill: only candidates inside all three bounds reach
+        # _try_start.  A rejection changes nothing, so the screen is
+        # recomputed only after a start.
+        pos += 1
+        while pos < len(ids):
+            could_start = (
+                in_window
+                & (widths <= alloc.free_total)
+                & (clear_of_shutdowns | (widths <= alloc.free_clear))
+            )
+            for p in (pos + np.flatnonzero(could_start[pos:])).tolist():
+                if try_start(p, window):
+                    pos = p + 1
+                    break
+            else:
+                return
 
     def _try_start(
         self,

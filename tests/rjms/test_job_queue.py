@@ -124,34 +124,34 @@ class TestPendingQueue:
         q, _ = self.make_queue(PriorityWeights(age=1000, fairshare=0, job_size=0))
         for jid, submit in ((3, 20.0), (1, 0.0), (2, 10.0)):
             q.add(mkjob(jid, submit=submit))
-        assert list(q.order(100.0)) == [1, 2, 3]
+        assert list(q.order(100.0)[0]) == [1, 2, 3]
 
     def test_age_saturation_keeps_fcfs_ties_deterministic(self):
         q, _ = self.make_queue(PriorityWeights(age=1000, fairshare=0, job_size=0, max_age=10.0))
         q.add(mkjob(2, submit=5.0))
         q.add(mkjob(1, submit=0.0))
         # Both saturated at age >= 10: tie broken by submit then id.
-        assert list(q.order(1000.0)) == [1, 2]
+        assert list(q.order(1000.0)[0]) == [1, 2]
 
     def test_size_weight_prefers_wide_jobs(self):
         q, _ = self.make_queue(PriorityWeights(age=0, fairshare=0, job_size=100))
         q.add(mkjob(1, cores=16))
         q.add(mkjob(2, cores=1440))
-        assert list(q.order(0.0)) == [2, 1]
+        assert list(q.order(0.0)[0]) == [2, 1]
 
     def test_fairshare_orders_users(self):
         q, fs = self.make_queue(PriorityWeights(age=0, fairshare=1000, job_size=0))
         fs.record_usage(0, 1e6, 0.0)
         q.add(mkjob(1, user=0))
         q.add(mkjob(2, user=1))
-        assert list(q.order(0.0)) == [2, 1]
+        assert list(q.order(0.0)[0]) == [2, 1]
 
     def test_growth_beyond_initial_capacity(self):
         q, _ = self.make_queue()
         for jid in range(600):
             q.add(mkjob(jid, submit=float(jid)))
         assert len(q) == 600
-        order = q.order(1e6)
+        order, _, _ = q.order(1e6)
         assert len(order) == 600
         assert order[0] == 0
 
@@ -161,12 +161,28 @@ class TestPendingQueue:
             q.add(mkjob(jid, submit=float(jid)))
         q.remove(0)
         q.remove(5)
-        order = list(q.order(100.0))
+        order = list(q.order(100.0)[0])
         assert order == [1, 2, 3, 4, 6, 7, 8, 9]
 
     def test_empty_order(self):
         q, _ = self.make_queue()
-        assert q.order(0.0).size == 0
+        assert all(col.size == 0 for col in q.order(0.0))
+
+    def test_columns_follow_ids_through_growth_and_swap_remove(self):
+        q, _ = self.make_queue(PriorityWeights(age=1000, fairshare=0, job_size=0))
+        jobs = {
+            jid: mkjob(jid, float(jid), cores=16 * (1 + jid % 7), walltime=60.5 + jid)
+            for jid in range(300)
+        }
+        for job in jobs.values():
+            q.add(job)
+        for jid in range(0, 300, 3):
+            q.remove(jid)
+        for limit in (None, 5, 299):
+            ids, nodes, walltimes = q.order(100.0, limit=limit)
+            assert list(ids) == [jid for jid in range(300) if jid % 3][:limit]
+            assert list(nodes) == [jobs[int(j)].n_nodes for j in ids]
+            assert list(walltimes) == [jobs[int(j)].spec.walltime for j in ids]
 
     def test_jobs_in_order_returns_jobs(self):
         q, _ = self.make_queue()

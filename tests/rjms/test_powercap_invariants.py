@@ -10,15 +10,23 @@ recorded instant of randomized replays:
   size (busy + idle + off, with instantaneous transitions);
 * **reservation safety** — no job ever occupies a node inside that
   node's shutdown window.
+
+Every replay also checks **job conservation**: each submitted job is
+either rejected or known to the controller, and a known job is pending
+exactly when it is queued, running exactly when it holds nodes, and
+otherwise completed or killed.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cluster.curie import curie_machine
 from repro.rjms.config import SchedulerConfig
-from repro.sim.replay import run_replay
+from repro.rjms.job import JobState
+from repro.sim.replay import ReplayResult, run_replay
 from repro.rjms.reservations import PowercapReservation
 from repro.workload.spec import JobSpec
 
@@ -57,8 +65,32 @@ def windows(draw):
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
+def _assert_jobs_conserved(result: ReplayResult) -> None:
+    ctrl = result.controller
+    assert result.n_submitted == len(ctrl.jobs) + len(ctrl.rejected)
+    states = Counter(job.state for job in ctrl.jobs.values())
+    assert states[JobState.PENDING] == len(ctrl.queue)
+    assert states[JobState.RUNNING] == len(ctrl.running)
+    for jid, job in ctrl.jobs.items():
+        if job.state is JobState.PENDING:
+            assert jid in ctrl.queue, jid
+        elif job.state is JobState.RUNNING:
+            assert jid in ctrl.running, jid
+        else:
+            assert job.state in (JobState.COMPLETED, JobState.KILLED), jid
+
+
 @settings(max_examples=10, **_SETTINGS)
 @given(jobs=workloads(), window=windows())
+# A strict-gate tolerance of 1e-6 x cap let DVFS start a job 0.021 W
+# over this cap at t = 1.462 s.
+@example(
+    jobs=[
+        JobSpec(jid, 0.0, cores, 1.0, 1.0)
+        for jid, cores in enumerate((17, 193, 241, 1, 1, 513, 673))
+    ],
+    window=PowercapReservation(0.0, 900.0, watts=24141.97875035762),
+)
 def test_cold_start_cap_never_exceeded(jobs, window):
     """A cap active from t=0 is hard: every recorded instant fits it,
     for every enforcing policy (no pre-cap jobs exist to drain)."""
@@ -68,6 +100,7 @@ def test_cold_start_cap_never_exceeded(jobs, window):
         for s in result.recorder.samples:
             if cap.active_at(s.time):
                 assert s.power_watts <= cap.watts * (1 + 1e-9), (policy, s.time)
+        _assert_jobs_conserved(result)
 
 
 @settings(max_examples=10, **_SETTINGS)
@@ -83,6 +116,7 @@ def test_kill_enforcement_keeps_window_under_cap(jobs, window):
         if window.active_at(s.time):
             assert s.power_watts <= window.watts * (1 + 1e-9), s.time
     result.controller.accountant.verify()
+    _assert_jobs_conserved(result)
 
 
 @settings(max_examples=10, **_SETTINGS)
@@ -108,6 +142,7 @@ def test_node_accounting_sums_to_machine_size(jobs, window, policy):
     counts = result.controller.accountant.count_by_state
     assert int(counts.sum()) == MACHINE.n_nodes
     result.controller.accountant.verify()
+    _assert_jobs_conserved(result)
 
 
 @settings(max_examples=10, **_SETTINGS)
@@ -116,6 +151,7 @@ def test_no_job_occupies_node_inside_its_shutdown_window(jobs, window, policy):
     """Placement respects shutdown reservations: a job and a shutdown
     window never share a node and an instant."""
     result = run_replay(MACHINE, jobs, policy, duration=3 * HOUR, powercaps=[window])
+    _assert_jobs_conserved(result)
     ctrl = result.controller
     shutdowns = ctrl.registry.shutdowns
     if not shutdowns:
