@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.cluster.power import PowerAccountant
 from repro.core.policies import Policy
@@ -38,6 +39,23 @@ from repro.rjms.reservations import ReservationRegistry
 #: admits no measurable overshoot (1e-6 let a job exceed a 24 kW active
 #: cap by 0.021 W).
 _EPS = 1e-12
+
+
+def active_cap_rejects(n_nodes: int, d_min: float, cap: float, power: float) -> bool:
+    """Whether an active cap of ``cap`` watts, with the cluster drawing
+    ``power``, rejects a job of ``n_nodes`` nodes whose per-node busy
+    delta is ``d_min`` — and so every job at least that wide at any
+    step drawing at least that much.
+
+    This is the comparison every selector's strict gate makes (the
+    extra draw against the headroom plus the same tolerance), applied
+    to the cheapest case.  Since IEEE multiplication rounds
+    monotonically, ``n * d >= n_nodes * d_min`` for ``n >= n_nodes``
+    and ``d >= d_min >= 0``; a negative ``d_min`` (a step drawing less
+    than idle) never rejects here, as a wider job could then fit where
+    a narrower one does not.
+    """
+    return d_min >= 0 and n_nodes * d_min > (cap - power) + _EPS * max(1.0, abs(cap))
 
 
 @dataclass(frozen=True)
@@ -68,10 +86,16 @@ class PowercapView:
     """Per-scheduling-pass snapshot of all power constraints.
 
     Build one per pass; it pre-computes each future window's projected
-    base power in O(running jobs + windows), after which every
-    candidate evaluation is O(allowed frequencies).  Call
-    :meth:`note_start` for every job started during the pass so later
-    candidates see the committed power.
+    base power, after which every candidate evaluation is
+    O(allowed frequencies).  ``running`` yields one ``(expected_end,
+    busy_delta_watts)`` pair per running job, in running order (the
+    controller keeps these pairs up to date as jobs start, end and are
+    re-stretched); a window's base adds the delta of every job ending
+    after the window starts, one addition at a time in that order.
+    Windows are only projected when a future cap exists, so without
+    one the view costs O(1).  Call :meth:`note_start` for every job
+    started during the pass so later candidates see the committed
+    power.
     """
 
     def __init__(
@@ -79,7 +103,7 @@ class PowercapView:
         registry: ReservationRegistry,
         accountant: PowerAccountant,
         now: float,
-        running_jobs,
+        running: Iterable[tuple[float, float]],
     ) -> None:
         self.accountant = accountant
         self.now = now
@@ -88,7 +112,6 @@ class PowercapView:
         future = registry.future_caps(now)
         if not future:
             return
-        ft = accountant.freq_table
         idle_floor = accountant.idle_floor()
         for cap in future:
             base = idle_floor
@@ -97,9 +120,7 @@ class PowercapView:
             self.windows.append(
                 _WindowConstraint(cap.start, cap.end, cap.watts, base)
             )
-        for job in running_jobs:
-            end = job.expected_end
-            delta = accountant.busy_delta_watts(job.n_nodes, job.freq_index)
+        for end, delta in running:
             for w in self.windows:
                 if end > w.start:
                     w.base += delta
@@ -165,6 +186,10 @@ class FrequencySelector:
         self._delta_per_node_desc = [
             ft.watts_array[idx] - ft.idle_watts for idx in self._indices_desc
         ]
+        #: per-node busy delta of the cheapest allowed step: a job of
+        #: ``n`` nodes adds at least ``n * d_min`` watts at any step
+        #: this selector may choose (the controller's active-cap gate)
+        self.d_min = float(min(self._delta_per_node_desc))
         self._step_info = {
             idx: (ft.steps[idx].ghz, self._deg_desc[pos])
             for pos, idx in enumerate(self._indices_desc)

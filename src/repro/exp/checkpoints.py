@@ -287,7 +287,9 @@ class DirectoryCheckpointStore(_FileLayer, CheckpointStore):
             )
             return None
         try:
-            with np.load(npath) as z:
+            # Opened here so a truncated .npz cannot leak the file
+            # (see DirectoryStore.get_series).
+            with open(npath, "rb") as fh, np.load(fh) as z:
                 arrays = {name: z[name] for name in z.files}
         except Exception as exc:
             self._discard(exc, jpath, npath)

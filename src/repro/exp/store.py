@@ -572,7 +572,11 @@ class DirectoryStore(_FileLayer, ResultStore):
         if not path.is_file():
             return None
         try:
-            with np.load(path) as z:
+            # np.load(path) would open the file itself and leak it when
+            # the zip directory is unreadable (it raises before handing
+            # the file to a context manager); opened here, it is closed
+            # on every path.
+            with open(path, "rb") as fh, np.load(fh) as z:
                 if "_series_dt" in z.files and float(z["_series_dt"]) != self.series_dt:
                     return None
                 return {k: z[k] for k in z.files if k != "_series_dt"}
@@ -591,7 +595,7 @@ class DirectoryStore(_FileLayer, ResultStore):
         if not path.is_file():
             return False
         try:
-            with np.load(path) as z:
+            with open(path, "rb") as fh, np.load(fh) as z:
                 if "_series_dt" not in z.files:
                     return False
                 return float(z["_series_dt"]) == self.series_dt

@@ -58,8 +58,9 @@ def easy_backfill_window(
         Current time.
     presorted:
         ``running`` is already sorted by expected end (stably), so the
-        per-call sort can be skipped — the controller maintains such a
-        snapshot across scheduling passes.
+        per-call sort can be skipped — the controller keeps its running
+        jobs in this order, in an index it updates at every start, end
+        and re-stretch rather than re-sorting per pass.
 
     A blocker already satisfiable node-wise (blocked by power, not by
     nodes) gets ``shadow_time = now``: backfilled jobs must then fit

@@ -35,20 +35,56 @@ now + walltime`` holds in floating point too; the EASY test and
 grows.  A candidate that fails a bound is one ``_try_start`` would
 reject without side effects, and the first candidate that fails,
 screened or not, still becomes the blocker.  Power rejections are not
-screened: they still go through ``decide``.
+screened per candidate: they still go through ``decide``.
+
+Before the screen, an **active-cap gate** skips the passes an active
+cap cannot admit anything in (the paper's default waits for running
+jobs to drain under the cap).  When a cap is active and even the
+narrowest pending job, at the selector's cheapest allowed step
+(``FrequencySelector.d_min``), draws more than the headroom,
+``narrowest * d_min > (cap - power) + tol``
+(:func:`~repro.core.online.active_cap_rejects`), the pass advances
+the fair-share decay, as the ranking it skips would have, and
+returns.  That is exact too: every selector rejects a job whose extra
+draw exceeds the active headroom plus that same tolerance at every
+step it may choose (Algorithm 2's ladder walk and its final strict
+gate, the top-only walk of SHUT, IDLE and ADAPTIVE's model branch,
+TRACK's walk down from its setpoint, the ``cluster_frequency_rule``
+ablation), comparing the same float expression; for ``n >=
+narrowest`` and any allowed step delta ``d >= d_min >= 0``, ``n * d
+>= narrowest * d_min`` holds in floating point, as IEEE
+multiplication rounds monotonically.  So every ranked candidate would
+fail ``decide``, nothing would start, and a pass that starts nothing
+changes no state but the decay.  A step drawing less than idle
+(``d_min < 0``) disables the gate.
+
+The pass reads the running jobs through an **index** updated where
+the running set changes (a start, an end, a re-stretch) and rebuilt
+by a fork install, not through a walk over every running job:
+
+* the EASY order, ``(expected_end, n_nodes)`` kept sorted by
+  ``(expected_end, start sequence)`` with ``bisect`` — the order a
+  stable sort by end over ``running`` gives, as ``running`` is in
+  start order and a re-stretch keeps a job's place there (and its
+  sequence number);
+* each running job's ``(expected_end, busy delta watts)`` in
+  ``running`` order, which :class:`~repro.core.online.PowercapView`
+  adds to each future window's base one at a time, exactly the
+  additions a walk over the jobs makes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.cluster.states import NodeState
 from repro.core.offline import OfflinePlanner, ShutdownPlan
-from repro.core.online import PowercapView
+from repro.core.online import PowercapView, active_cap_rejects
 from repro.core.policies import Policy, make_policy
 from repro.rjms.backfill import BackfillWindow, easy_backfill_window
 from repro.rjms.config import SchedulerConfig
@@ -179,11 +215,15 @@ class Controller:
         #: shutdown reservations (their node sets never change)
         self._reserved_mask = np.zeros(machine.n_nodes, dtype=bool)
         self._mask_key: tuple[int, ...] | None = None
-        #: running-set generation counter + cached (expected_end,
-        #: n_nodes) snapshot, pre-sorted for the backfill window
-        self._running_version = 0
-        self._snapshot_version = -1
-        self._running_snapshot: list[tuple[float, int]] = []
+        #: the running-job index (module docstring): ``(expected_end,
+        #: n_nodes)`` in EASY order with its ``(expected_end, start
+        #: seq)`` sort keys, each job's key, and each job's
+        #: ``(expected_end, busy delta watts)`` in running order
+        self._easy_keys: list[tuple[float, int]] = []
+        self._easy_rows: list[tuple[float, int]] = []
+        self._easy_key_of: dict[int, tuple[float, int]] = {}
+        self._power_rows: dict[int, tuple[float, float]] = {}
+        self._next_seq = 0
 
         if self.policy.enforces_caps:
             for cap in powercaps:
@@ -246,7 +286,8 @@ class Controller:
         now = self.engine.now
         job.finish(now, killed=killed)
         self.running.pop(job.job_id)
-        self._running_version += 1
+        self._unindex(job.job_id)
+        del self._power_rows[job.job_id]
         self._end_events.pop(job.job_id, None)
         assert job.nodes is not None and job.freq_index is not None
         self._release_nodes(job.nodes)
@@ -408,11 +449,13 @@ class Controller:
                 cores = job.n_nodes * self.machine.cores_per_node
                 self._cores_by_freq[job.freq_index] -= cores
                 self._cores_by_freq[new_index] += cores
+                # expected_end stretches with the new degradation: the
+                # job re-enters the index under its old start sequence
+                seq = self._unindex(job.job_id)
                 job.freq_index = new_index
                 job.freq_ghz = new_ghz
                 job.degradation = new_deg
-                # expected_end stretches with the new degradation
-                self._running_version += 1
+                self._index(job, seq)
                 ev = self._end_events.get(job.job_id)
                 if ev is not None:
                     SimEngine.cancel(ev)
@@ -480,15 +523,39 @@ class Controller:
             self._mask_key = key
         return pending
 
-    def _running_snapshot_sorted(self) -> list[tuple[float, int]]:
-        """``(expected_end, n_nodes)`` of the running jobs, pre-sorted
-        by end time; rebuilt only when the running set changed."""
-        if self._snapshot_version != self._running_version:
-            snap = [(j.expected_end, j.n_nodes) for j in self.running.values()]
-            snap.sort(key=lambda r: r[0])
-            self._running_snapshot = snap
-            self._snapshot_version = self._running_version
-        return self._running_snapshot
+    # -- running-job index (see the module docstring) ----------------------------------------
+
+    def _index(self, job: Job, seq: int) -> None:
+        """Enter a running job under start sequence ``seq``; a job
+        already in the index (a re-stretch) keeps its running-order
+        place."""
+        end = job.expected_end
+        key = (end, seq)
+        i = bisect.bisect_left(self._easy_keys, key)
+        self._easy_keys.insert(i, key)
+        self._easy_rows.insert(i, (end, job.n_nodes))
+        self._easy_key_of[job.job_id] = key
+        self._power_rows[job.job_id] = (
+            end,
+            self.accountant.busy_delta_watts(job.n_nodes, job.freq_index),
+        )
+
+    def _unindex(self, job_id: int) -> int:
+        """Take a job out of the EASY order; returns its start sequence."""
+        key = self._easy_key_of.pop(job_id)
+        i = bisect.bisect_left(self._easy_keys, key)
+        del self._easy_keys[i]
+        del self._easy_rows[i]
+        return key[1]
+
+    def _reindex_running(self) -> None:
+        """Rebuild the running-job index from :attr:`running` (after a
+        fork install replaced it), numbering the jobs in running order."""
+        self._easy_keys, self._easy_rows = [], []
+        self._easy_key_of, self._power_rows = {}, {}
+        for seq, job in enumerate(self.running.values()):
+            self._index(job, seq)
+        self._next_seq = len(self.running)
 
     def _sched_pass(self) -> None:
         self._pass_pending = False
@@ -518,6 +585,19 @@ class Controller:
             # fast path leaves bit-identical state behind.
             self.fairshare.decay_to(now)
             return
+        # The active-cap gate (see the module docstring): no candidate
+        # could pass `decide`, so the pass would start nothing; keep
+        # only the decay step its ranking would have taken.
+        if self.policy.enforces_caps:
+            cap = self.registry.cap_at(now)
+            if math.isfinite(cap) and active_cap_rejects(
+                self.queue.min_nodes(),
+                self.freq_selector.d_min,
+                cap,
+                self.accountant.total_power(),
+            ):
+                self.fairshare.decay_to(now)
+                return
         pending_sds = self._pending_shutdowns(now)
         alloc = _PassAllocator(free_ids, self._reserved_mask)
         ids, widths, walltimes = self.queue.order(
@@ -549,7 +629,7 @@ class Controller:
                 # pass, so it sees what a pass-start view would.
                 view = (
                     PowercapView(
-                        self.registry, self.accountant, now, self.running.values()
+                        self.registry, self.accountant, now, self._power_rows.values()
                     )
                     if self.policy.enforces_caps
                     else PowercapView(ReservationRegistry(0), self.accountant, now, ())
@@ -575,7 +655,7 @@ class Controller:
         window = easy_backfill_window(
             self.queue.job(int(ids[pos])).n_nodes,
             alloc.free_total,
-            self._running_snapshot_sorted(),
+            self._easy_rows,
             now,
             presorted=True,
         )
@@ -641,7 +721,8 @@ class Controller:
             now, nodes, decision.freq_index, decision.freq_ghz, decision.degradation
         )
         self.running[job.job_id] = job
-        self._running_version += 1
+        self._index(job, self._next_seq)
+        self._next_seq += 1
         self.accountant.set_state(nodes, NodeState.BUSY, freq_index=decision.freq_index)
         self._cores_by_freq[decision.freq_index] += job.n_nodes * self.machine.cores_per_node
         ev = self.engine.at(

@@ -9,7 +9,9 @@ vectorised expression plus an ``argsort`` per scheduling pass — the
 pass rate is the simulator's hot path.  Two of the columns (node
 count, requested walltime) are there for the pass itself: it screens
 its ranked candidates against exact node and time bounds by array
-indexing before running Algorithm 2 on any of them.
+indexing before running Algorithm 2 on any of them, and under an
+active cap it skips the ranking altogether when even the narrowest
+pending job cannot fit the headroom (:meth:`PendingQueue.min_nodes`).
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ class PendingQueue:
             self._row_of[int(self._ids[row])] = row
         self._n = last
         return job
+
+    def min_nodes(self) -> int:
+        """Node count of the narrowest pending job (queue must be
+        non-empty)."""
+        return int(self._nodes[: self._n].min())
 
     def priorities(self, now: float) -> np.ndarray:
         """Multifactor priority of every pending job (queue row order).

@@ -359,7 +359,6 @@ def capture_fork_state(donor: _Cell, fork_t: float) -> dict:
             "version": int(acct.version),
         },
         "last_pass": _hx(ctl._last_pass),
-        "running_version": int(ctl._running_version),
         "pass_time": pass_time,
         # Completions in donor creation order (seq order within
         # JOB_END), so same-instant completions replay in tie order.
@@ -482,10 +481,11 @@ def install_fork_state(
     # -- controller scalars and caches --------------------------------------
     np.copyto(sctl._cores_by_freq, arrays["cores_by_freq"])
     sctl._last_pass = _unhx(meta["last_pass"])
-    sctl._running_version = meta["running_version"]
     sctl._free_version = -1
     sctl._mask_key = None
-    sctl._snapshot_version = -1
+    # The running-job index is derived state: rebuilt here, not stored
+    # (a "running_version" key written by older captures is ignored).
+    sctl._reindex_running()
 
     # -- metrics prefix ------------------------------------------------------
     n = meta["rec_n"]

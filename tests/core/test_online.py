@@ -1,14 +1,18 @@
 """Unit tests for the online frequency selection (Algorithm 2)."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.cluster.curie import curie_machine
 from repro.cluster.states import NodeState
-from repro.core.online import FrequencySelector, PowercapView
+from repro.core.offline import OfflinePlanner
+from repro.core.online import FrequencySelector, PowercapView, active_cap_rejects
 from repro.core.policies import make_policy
+from repro.platform import get_platform
+from repro.rjms.config import SchedulerConfig
 from repro.rjms.reservations import (
     PowercapReservation,
     ReservationRegistry,
@@ -30,7 +34,13 @@ def view_for(machine, acct, caps=(), shutdowns=(), now=0.0, running=()):
         reg.add_powercap(c)
     for s in shutdowns:
         reg.add_shutdown(s)
-    return PowercapView(reg, acct, now, running)
+    # The view takes each running job as an (expected_end, busy delta)
+    # pair, as the controller's running-job index keeps them.
+    rows = [
+        (job.expected_end, acct.busy_delta_watts(job.n_nodes, job.freq_index))
+        for job in running
+    ]
+    return PowercapView(reg, acct, now, rows)
 
 
 class TestNoConstraints:
@@ -218,3 +228,88 @@ class TestClusterRule:
         )
         assert per_job.ok and per_job.freq_ghz == 2.7  # 2 nodes fit easily
         assert cluster.ok and cluster.freq_ghz == 1.4  # all 90 idle must fit
+
+
+# -- the controller's active-cap gate ---------------------------------------------------
+#
+# The scheduling pass skips Algorithm 2 altogether when
+# ``active_cap_rejects(narrowest, selector.d_min, cap, power)`` holds.
+# That is only exact if every selector then rejects every job at least
+# as wide as the narrowest one, at any walltime and whatever the
+# future windows look like.
+
+#: every registered policy that enforces caps
+ENFORCING = ("IDLE", "SHUT", "DVFS", "MIX", "ADAPTIVE", "TRACK")
+#: each platform at a few dozen nodes
+GATE_SCALES = {"curie": 1 / 56, "fatnode": 1.0, "manythin": 0.125}
+
+
+def _gate_cases():
+    for platform in sorted(GATE_SCALES):
+        for policy in ENFORCING:
+            for knob in (None, "strict_future_caps", "cluster_frequency_rule"):
+                # TRACK refuses the projection-based cluster rule.
+                if not (policy == "TRACK" and knob == "cluster_frequency_rule"):
+                    yield platform, policy, knob
+
+
+def _random_load(rng, machine, allowed):
+    """An accountant with a random share of nodes busy at random
+    allowed steps and a few switched off."""
+    acct = machine.new_accountant()
+    order = rng.permutation(machine.n_nodes)
+    n_busy = int(rng.integers(0, machine.n_nodes))
+    for chunk in np.array_split(order[:n_busy], 3):
+        if chunk.size:
+            acct.set_state(chunk, NodeState.BUSY, freq_index=int(rng.choice(allowed)))
+    n_off = int(rng.integers(0, (machine.n_nodes - n_busy) // 4 + 1))
+    if n_off:
+        acct.set_state(order[n_busy : n_busy + n_off], NodeState.OFF)
+    return acct
+
+
+@pytest.mark.parametrize("platform, policy, knob", list(_gate_cases()))
+def test_active_cap_gate_implies_every_wider_job_is_rejected(platform, policy, knob):
+    spec = get_platform(platform)
+    machine = spec.build_machine(scale=GATE_SCALES[platform])
+    pol = spec.make_policy(policy, machine.freq_table)
+    config = SchedulerConfig(**({knob: True} if knob else {}))
+    sel = pol.frequency_strategy.build_selector(
+        pol, config=config, planner=OfflinePlanner(machine, pol)
+    )
+    allowed = pol.frequency_indices_desc()
+    ft = machine.freq_table
+    assert sel.d_min == min(ft.watts_array[i] - ft.idle_watts for i in allowed)
+    rng = np.random.default_rng(zlib.crc32(f"{platform}/{policy}/{knob}".encode()))
+    now = 1000.0
+    gated = rejected = 0
+    for _ in range(40):
+        acct = _random_load(rng, machine, allowed)
+        power = acct.total_power()
+        narrowest = int(rng.integers(1, machine.n_nodes + 1))
+        # Headroom around the narrowest job's cheapest draw, so about
+        # half of the draws gate.
+        cap = power + narrowest * sel.d_min * rng.uniform(0.5, 1.5)
+        reg = ReservationRegistry(machine.n_nodes)
+        reg.add_powercap(PowercapReservation(0.0, now + rng.uniform(0.1, 5) * HOUR, cap))
+        for _ in range(int(rng.integers(0, 3))):
+            start = now + rng.uniform(0.1, 10) * HOUR
+            reg.add_powercap(
+                PowercapReservation(start, start + HOUR, power * rng.uniform(0.3, 1.2))
+            )
+        running = [
+            (
+                now + rng.uniform(0, 20) * HOUR,
+                acct.busy_delta_watts(int(rng.integers(1, 8)), int(rng.choice(allowed))),
+            )
+            for _ in range(int(rng.integers(0, 12)))
+        ]
+        view = PowercapView(reg, acct, now, running)
+        if not active_cap_rejects(narrowest, sel.d_min, reg.cap_at(now), power):
+            continue
+        gated += 1
+        for n in range(narrowest, machine.n_nodes + 1):
+            for walltime in (60.0, HOUR, 86400.0):
+                assert not sel.decide(n, walltime, view).ok, (n, walltime)
+                rejected += 1
+    assert gated >= 5 and rejected >= 3 * gated

@@ -1,5 +1,6 @@
 """Result stores: content addressing, atomicity, corruption healing."""
 
+import gc
 import json
 import warnings
 
@@ -239,6 +240,51 @@ class TestDirectoryStore:
         # Phantoms are invisible to prune too: it keeps the real entry.
         assert store.prune(max_entries=1) == []
         assert store.get(key) is not None
+
+
+def _truncated_series_store(tmp_path):
+    store = DirectoryStore(tmp_path)
+    key = result_key(TINY)
+    store.put_series(key, {"time": np.arange(64.0)})
+    return store, key, tmp_path / f"{key}.npz"
+
+
+def _truncated_checkpoint_store(tmp_path):
+    store = DirectoryCheckpointStore(tmp_path)
+    state = {
+        "meta": {"version": FORK_STATE_VERSION, "horizon": (1800.0).hex()},
+        "arrays": {"a": np.arange(64, dtype=np.int64)},
+    }
+    key = store.put(checkpoint_group(TINY), 1800.0, state)
+    return store, key, store._path(key, ".npz")
+
+
+#: the three readers that open a stored .npz, each with a store holding
+#: one entry and the path of that entry's .npz
+NPZ_READERS = {
+    "get_series": (_truncated_series_store, lambda store, key: store.get_series(key)),
+    "has_series": (_truncated_series_store, lambda store, key: store.has_series(key)),
+    "checkpoint_get": (_truncated_checkpoint_store, lambda store, key: store.get(key)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NPZ_READERS))
+def test_truncated_npz_is_discarded_without_leaking_the_file(tmp_path, reader):
+    """A truncated .npz keeps its zip magic, so ``np.load`` hands the
+    open file to the zip reader, which then fails on the missing
+    directory: the reader must still close the file (no
+    ``ResourceWarning``) and discard the entry with a warning."""
+    build, read = NPZ_READERS[reader]
+    store, key, npz = build(tmp_path)
+    npz.write_bytes(npz.read_bytes()[:20])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert not read(store, key)
+        gc.collect()
+    categories = [w.category for w in caught]
+    assert ResourceWarning not in categories
+    assert RuntimeWarning in categories  # the discard warning stays
+    assert not npz.exists()
 
 
 class TestSharedDirectoryStore:
