@@ -226,8 +226,8 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
                    help="execution backend (default: pool when --workers > 1, "
                         "serial otherwise): serial and batch run in-process, "
                         "pool and batch-pool on --workers worker processes "
-                        "(in-process with --workers 1), ordered by the "
-                        "calibrated cost model; the batch names replay "
+                        "(in-process with --workers 1), longest estimated "
+                        "unit first; the batch names replay "
                         "same-platform scenarios that differ only in caps "
                         "as one lockstep group")
     p.add_argument("--shard", default=None, metavar="K/N",
@@ -597,23 +597,25 @@ def _print_sweep_plan(args: argparse.Namespace, scenarios: list) -> int:
     """``exp run --plan``: the batch-pool schedule, nothing executed.
 
     Builds the sweep's runner for its store and shard, dedupes the
-    scenarios it owns by content hash, and prints the placement the
-    pool computes for ``--workers`` workers
+    scenarios it owns by content hash, drops those the store already
+    serves (as :meth:`repro.exp.GridRunner.sweep` does), and prints
+    the placement the pool computes for ``--workers`` workers
     (:func:`repro.exp.backends.place_units`).
     """
     from repro.exp import shm
     from repro.exp.backends import place_units
-    from repro.exp.costmodel import CostModel, plan_table
+    from repro.exp.costmodel import plan_table
 
     with _build_runner(args) as runner:
-        owned: dict = {}
+        to_run: dict = {}
         for sc in scenarios:
             key = sc.scenario_hash()
-            if runner.backend.owns(key):
-                owned.setdefault(key, sc)
-        model = CostModel.from_store(runner.store)
+            if key in to_run or not runner.backend.owns(key):
+                continue
+            if runner._lookup(sc) is None:
+                to_run[key] = sc
     workers = max(1, args.workers)
-    print(plan_table(place_units(list(owned.values()), True, workers, model), workers))
+    print(plan_table(place_units(list(to_run.values()), True, workers), workers))
     print(shm.status_line())
     return 0
 
@@ -888,9 +890,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the batch-pool schedule without executing "
                         "anything: every unit (lockstep groups and "
                         "singleton cells in one queue) with its cost "
-                        "estimate and LPT worker placement; estimates come "
-                        "from the result store's calibration metadata when "
-                        "--store/--cache-dir points at one")
+                        "estimate and LPT worker placement; scenarios the "
+                        "store already holds are left out, as the sweep "
+                        "would serve them")
     p.set_defaults(func=cmd_exp_run)
 
     p = exp_sub.add_parser("compare", help="compare two library scenarios")

@@ -6,11 +6,12 @@ The subsystem behind ``repro exp run/list/compare``:
   with stable content-hash identity, plus deterministic shard
   selection (:mod:`repro.exp.spec`);
 * :class:`ExecutionBackend` — where scenarios execute: in-process
-  (:class:`BatchBackend`) or on a ``multiprocessing`` pool under a
-  calibrated LPT cost model (:class:`PoolBackend`,
-  :mod:`repro.exp.costmodel`), cell by cell or in lockstep groups of
-  same-platform scenarios, or one shard of a split sweep
-  (:class:`ShardedBackend`) (:mod:`repro.exp.backends`);
+  (:class:`BatchBackend`) or on a ``multiprocessing`` pool, longest
+  estimated unit first (:class:`PoolBackend`; the estimates are a
+  pure function of the specs, :mod:`repro.exp.costmodel`), cell by
+  cell or in lockstep groups of same-platform scenarios, or one shard
+  of a split sweep (:class:`ShardedBackend`)
+  (:mod:`repro.exp.backends`);
 * :class:`ResultStore` — where results persist: an in-memory memo
   (:class:`MemoryStore`) or one JSON/``.npz`` directory
   (:class:`DirectoryStore`) that concurrent writers — threads,
@@ -54,7 +55,6 @@ from repro.exp.backends import (
     make_backend,
 )
 from repro.exp.costmodel import (
-    CostModel,
     GroupEstimate,
     assign_workers,
     lpt_order,
@@ -143,7 +143,6 @@ __all__ = [
     "PoolBackend",
     "ShardedBackend",
     "make_backend",
-    "CostModel",
     "GroupEstimate",
     "assign_workers",
     "lpt_order",

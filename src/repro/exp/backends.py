@@ -52,7 +52,7 @@ from typing import Any, Collection, Iterator, Sequence
 
 from repro.exp import faults as _faults
 from repro.exp import shm as _shm
-from repro.exp.costmodel import CostModel, GroupEstimate, assign_workers
+from repro.exp.costmodel import GroupEstimate, assign_workers, estimate_group
 from repro.exp.resilience import (
     RetryPolicy,
     TaskFailure,
@@ -120,18 +120,14 @@ def _count_units(units: Sequence[tuple[int, ...]], counts: Counter) -> None:
 
 
 def place_units(
-    scenarios: Sequence[Scenario],
-    grouped: bool,
-    workers: int,
-    cost_model: CostModel | None = None,
+    scenarios: Sequence[Scenario], grouped: bool, workers: int
 ) -> list[tuple[GroupEstimate, int]]:
     """The pool's schedule: every unit's cost estimate and the worker
     its greedy LPT placement predicts, in dispatch order.  Lockstep
     groups and singletons share the one queue.  ``repro exp run
     --plan`` prints exactly this."""
-    model = cost_model if cost_model is not None else CostModel()
     return assign_workers(
-        [model.estimate_group(scenarios, u) for u in _units(scenarios, grouped)],
+        [estimate_group(scenarios, u) for u in _units(scenarios, grouped)],
         workers,
     )
 
@@ -181,7 +177,6 @@ class BatchBackend(ExecutionBackend):
         checkpoints: Any = None,
         counts: Counter,
         profile_dir: str | None = None,
-        cost_model: CostModel | None = None,
     ) -> Iterator[TaskOutcome]:
         """Execute ``scenarios`` unit by unit in this process.
 
@@ -190,9 +185,7 @@ class BatchBackend(ExecutionBackend):
         prefix — and every count goes straight into ``counts``.
         ``timeout`` cannot be enforced in-process (nothing preempts a
         running replay from inside its own process), so it warns and
-        points at the pool backends.  ``cost_model`` is accepted for
-        parity with :class:`PoolBackend`: in-process order cannot
-        change the makespan.
+        points at the pool backends.
         """
         from repro.exp import runner
 
@@ -391,7 +384,6 @@ class PoolBackend(ExecutionBackend):
         checkpoints: Any = None,
         counts: Counter,
         profile_dir: str | None = None,
-        cost_model: CostModel | None = None,
     ) -> Iterator[TaskOutcome]:
         """The crash-surviving dispatch loop over every unit.
 
@@ -430,7 +422,7 @@ class PoolBackend(ExecutionBackend):
         # costs order, never correctness.
         units = [
             est.indices
-            for est, _ in place_units(scenarios, self.grouped, self.workers, cost_model)
+            for est, _ in place_units(scenarios, self.grouped, self.workers)
         ]
         if self.grouped:
             _count_units(units, counts)

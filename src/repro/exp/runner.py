@@ -11,8 +11,8 @@ makes serial and multi-process grid runs directly comparable.
 an :class:`~repro.exp.backends.ExecutionBackend` (where scenarios
 execute: in-process, a ``multiprocessing`` pool, or one deterministic
 shard of a split sweep) and a :class:`~repro.exp.store.ResultStore`
-(where results persist: an in-memory memo, a local JSON/``.npz``
-directory, or a shared directory safe for concurrent writers).  One
+(where results persist: an in-memory memo, or a JSON/``.npz``
+directory that concurrent writers may share).  One
 ``run()`` is dedupe → store lookup → backend submit → store write →
 aggregate.  Results always come back in input order, and every
 backend produces exactly the output a serial run would (each worker
@@ -49,7 +49,6 @@ from repro.exp.checkpoints import (
     checkpoint_group,
     make_checkpoint_store,
 )
-from repro.exp.costmodel import CostModel
 from repro.exp import shm as _shm
 from repro.exp.resilience import (
     ON_ERROR_MODES,
@@ -980,12 +979,6 @@ class GridRunner:
                     [record],
                 )
 
-        # Calibrated cost model: seeded from earlier sweeps' persisted
-        # observations, refined by every cell executed here, flushed
-        # back after the sweep.  Estimates only order the batch-pool
-        # dispatch — they never touch results.
-        cost_model = CostModel.from_store(self.store)
-
         def collect_result(sc: Scenario, item: Any) -> None:
             if want_series:
                 result, series = item
@@ -1017,10 +1010,6 @@ class GridRunner:
                 result = item
             self.store.put(result_key(result.scenario), result)
             counts["executed"] += 1
-            if result.wall_seconds is not None:
-                # wall_seconds is the per-cell share even for batched
-                # cells — exactly the unit the scheduler estimates.
-                cost_model.observe(result.scenario, result.wall_seconds)
             scenario_hash = result.scenario_hash
             if scenario_hash in known_failed and track_failures:
                 # Heal: a success supersedes the persisted failure.
@@ -1054,7 +1043,6 @@ class GridRunner:
             checkpoints=self.checkpoints if use_ckpt else None,
             counts=counts,
             profile_dir=None if self.profile_dir is None else str(self.profile_dir),
-            cost_model=cost_model,
         )
         for index, outcome in outcomes:
             if isinstance(outcome, TaskFailure):
@@ -1077,10 +1065,6 @@ class GridRunner:
                 report.failures,
             )
 
-        try:
-            cost_model.flush(self.store)
-        except Exception:  # noqa: BLE001 - advisory metadata must not fail a sweep
-            pass
         report.results = [r for r in results if r is not None]
         report.wall_seconds = time.perf_counter() - t_sweep
         report.store_health = self.store.health.to_dict()

@@ -34,7 +34,6 @@ silently treated as a miss.
 
 from __future__ import annotations
 
-import copy
 import errno
 import io
 import json
@@ -362,28 +361,6 @@ class ResultStore:
         """Keys of every stored result (diagnostics / merge checks)."""
         raise NotImplementedError
 
-    # -- metadata side-channel --------------------------------------------------------
-
-    def put_meta(self, name: str, payload: Mapping) -> None:
-        """Persist a small named JSON document next to the results.
-
-        The side-channel for harness bookkeeping that is *about* the
-        store's contents without being a result — e.g. the cost
-        model's observed wall times (:mod:`repro.exp.costmodel`).
-        Last-writer-wins; payloads must be JSON-serialisable.  Stores
-        without persistence keep it in memory for their lifetime.
-        """
-        raise NotImplementedError
-
-    def get_meta(self, name: str) -> dict | None:
-        """A previously stored metadata document, or ``None``.
-
-        Metadata is advisory: a corrupt document is discarded (loudly,
-        like any other unreadable entry) and the caller regenerates
-        it — losing metadata never loses results.
-        """
-        return None
-
     # -- failure records --------------------------------------------------------------
 
     def put_failure(self, key: str, record: "FailureRecord") -> None:
@@ -448,21 +425,9 @@ class MemoryStore(ResultStore):
     def __init__(self) -> None:
         self._results: dict[str, "RunResult"] = {}
         self._failures: dict[str, "FailureRecord"] = {}
-        self._meta: dict[str, dict] = {}
 
     def get(self, key: str) -> "RunResult | None":
         return self._results.get(key)
-
-    def put_meta(self, name: str, payload: Mapping) -> None:
-        # Deep copies on both sides: a caller mutating its payload (or
-        # the returned dict) must not reach the stored observations —
-        # the directory store's JSON round-trip isolates them for free,
-        # and the cost model mutates what get_meta hands back.
-        self._meta[name] = copy.deepcopy(dict(payload))
-
-    def get_meta(self, name: str) -> dict | None:
-        entry = self._meta.get(name)
-        return copy.deepcopy(entry) if entry is not None else None
 
     def put(self, key: str, result: "RunResult") -> None:
         # Re-putting moves the key to the back of the eviction order.
@@ -496,8 +461,7 @@ class MemoryStore(ResultStore):
 
 class DirectoryStore(_FileLayer, ResultStore):
     """A result directory: ``<dir>/<key>.json``, its ``<key>.npz``
-    series and its ``<key>.fail.json`` failure record, plus named
-    ``<dir>/meta/<name>.json`` documents.
+    series and its ``<key>.fail.json`` failure record.
 
     Any number of writers may share one directory — threads,
     processes, machines on a network filesystem — through the file
@@ -641,25 +605,6 @@ class DirectoryStore(_FileLayer, ResultStore):
     def failures(self) -> list["FailureRecord"]:
         records = [self.get_failure(key) for key in self._keys(".fail.json")]
         return [r for r in records if r is not None]
-
-    # -- metadata side-channel --------------------------------------------------------
-
-    _META_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]{0,63}")
-
-    def _meta_path(self, name: str) -> Path:
-        if not self._META_NAME_RE.fullmatch(name):
-            raise ValueError(f"bad metadata document name {name!r}")
-        return self.root / "meta" / f"{name}.json"
-
-    def put_meta(self, name: str, payload: Mapping) -> None:
-        path = self._meta_path(name)
-        text = json.dumps(payload, allow_nan=False, sort_keys=True)
-        self._write(path, text.encode())
-
-    def get_meta(self, name: str) -> dict | None:
-        # Metadata is advisory bookkeeping: discard and regenerate.
-        payload = self._read_json(self._meta_path(name))
-        return payload if isinstance(payload, dict) else None
 
 
 def _spec_root(spec: str, what: str) -> str | None:

@@ -1,26 +1,22 @@
-"""Cost model: cold estimates, calibration, LPT placement, persistence.
+"""Cost model: cold estimates and LPT placement.
 
-The model only orders the batch-pool dispatch — these tests pin the
-properties that ordering relies on (monotonic cold estimates, observed
-beats calibrated beats cold, deterministic LPT placement) and the
-store metadata side-channel the calibration persists through.
+The estimates only order the batch-pool dispatch — these tests pin the
+properties that ordering relies on (monotonic cold estimates, shared
+prefixes folded into group estimates, deterministic LPT placement).
 """
 
 import pytest
 
 from repro.exp import (
     CapWindow,
-    CostModel,
-    DirectoryStore,
     GridRunner,
     GroupEstimate,
-    MemoryStore,
     Scenario,
     assign_workers,
     lpt_order,
     plan_table,
 )
-from repro.exp.costmodel import COST_META
+from repro.exp.costmodel import estimate_cell, estimate_group
 from repro.exp.runner import RunResult
 
 HOUR = 3600.0
@@ -36,63 +32,38 @@ TINY = Scenario(
 
 class TestColdEstimates:
     def test_bigger_work_costs_more(self):
-        m = CostModel()
-        base, src = m.estimate_cell(TINY)
-        assert src == "cold" and base > 0
-        assert m.estimate_cell(TINY.with_(duration=2 * HOUR))[0] > base
-        assert m.estimate_cell(TINY.with_(scale=2 / 56))[0] > base
-        assert m.estimate_cell(TINY.with_(overload=3.2))[0] > base
+        base = estimate_cell(TINY)
+        assert base > 0
+        assert estimate_cell(TINY.with_(duration=2 * HOUR)) > base
+        assert estimate_cell(TINY.with_(scale=2 / 56)) > base
+        assert estimate_cell(TINY.with_(overload=3.2)) > base
 
     def test_caps_do_not_change_the_cell_estimate(self):
-        # The observation key is the cap-free group: every cell of one
-        # lockstep group estimates identically.
-        m = CostModel()
+        # Every cell of one lockstep group estimates identically.
         capped = TINY.with_(caps=(CapWindow(1800.0, 3000.0, 0.5),))
-        assert m.estimate_cell(capped) == m.estimate_cell(TINY)
+        assert estimate_cell(capped) == estimate_cell(TINY)
 
     def test_group_estimate_folds_shared_prefix(self):
         # Later windows mean a longer shared prefix, replayed once —
         # the same two cells must estimate cheaper than with windows
         # opening near t=0.
-        m = CostModel()
-
         def group(start):
             return [
                 TINY.with_(name=f"c{f}", caps=(CapWindow(start, 3000.0, f),))
                 for f in (0.4, 0.6)
             ]
 
-        late = m.estimate_group(group(1800.0), [0, 1])
-        early = m.estimate_group(group(360.0), [0, 1])
-        cell, _ = m.estimate_cell(TINY)
+        late = estimate_group(group(1800.0), [0, 1])
+        early = estimate_group(group(360.0), [0, 1])
+        cell = estimate_cell(TINY)
         assert cell < late.seconds < early.seconds <= 2 * cell
-        assert late.n_cells == 2 and late.source == "cold"
-
-    def test_observed_beats_cold_then_calibrates_siblings(self):
-        m = CostModel()
-        m.observe(TINY, 2.0)
-        m.observe(TINY, 4.0)
-        est, src = m.estimate_cell(TINY)
-        assert src == "observed" and est == pytest.approx(3.0)
-        # A never-seen group on the same platform rescales its cold
-        # estimate by the observed rate instead of the default.
-        est2, src2 = m.estimate_cell(TINY.with_(seed=99))
-        assert src2 == "calibrated" and est2 > 0
-
-    def test_degenerate_observations_are_ignored(self):
-        m = CostModel()
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
-            m.observe(TINY, bad)
-        assert m.estimate_cell(TINY)[1] == "cold"
+        assert late.n_cells == 2
 
 
 class TestLPTPlacement:
     def _estimates(self, seconds):
         return [
-            GroupEstimate(
-                group=f"g{i}", label=f"g{i}", indices=(i,),
-                seconds=s, source="cold",
-            )
+            GroupEstimate(group=f"g{i}", label=f"g{i}", indices=(i,), seconds=s)
             for i, s in enumerate(seconds)
         ]
 
@@ -119,67 +90,9 @@ class TestLPTPlacement:
             assign_workers(self._estimates([3.0, 5.0, 1.0, 4.0]), 2), 2
         )
         assert "worker" in text
-        assert "4 group(s), 4 cell(s)" in text
+        assert "4 unit(s), 4 cell(s)" in text
         assert "est total 13.0s" in text
         assert "makespan 7.0s" in text
-
-
-class TestMetaPersistence:
-    def test_directory_store_roundtrip(self, tmp_path):
-        m = CostModel()
-        m.observe(TINY, 1.5)
-        m.flush(DirectoryStore(tmp_path))
-        m2 = CostModel.from_store(DirectoryStore(tmp_path))
-        est, src = m2.estimate_cell(TINY)
-        assert src == "observed" and est == pytest.approx(1.5)
-
-    def test_memory_store_meta(self):
-        s = MemoryStore()
-        assert s.get_meta("x") is None
-        s.put_meta("x", {"a": 1})
-        assert s.get_meta("x") == {"a": 1}
-
-    def test_unknown_schema_is_ignored(self, tmp_path):
-        store = DirectoryStore(tmp_path)
-        store.put_meta(
-            COST_META, {"schema": 999, "groups": {"x": {"mean": 1, "n": 1}}}
-        )
-        assert CostModel.from_store(store).estimate_cell(TINY)[1] == "cold"
-
-    def test_meta_names_are_validated(self, tmp_path):
-        store = DirectoryStore(tmp_path)
-        for bad in ("../evil", "a/b", "", "no spaces"):
-            with pytest.raises(ValueError):
-                store.put_meta(bad, {})
-
-    def test_corrupt_meta_reads_as_missing(self, tmp_path):
-        store = DirectoryStore(tmp_path)
-        store.put_meta("m", {"a": 1})
-        (tmp_path / "meta" / "m.json").write_text("{broken")
-        assert DirectoryStore(tmp_path).get_meta("m") is None
-
-    def test_meta_does_not_leak_into_result_keys(self, tmp_path):
-        store = DirectoryStore(tmp_path)
-        store.put_meta("m", {"a": 1})
-        assert store.keys() == []
-
-    def test_sweep_observes_flushes_and_reuses(self, tmp_path):
-        sweep = [
-            TINY.with_(
-                name=f"cap{f}",
-                policy="MIX",
-                duration=2 * HOUR,
-                caps=(CapWindow(1800.0, 5400.0, f),),
-            )
-            for f in (0.4, 0.6)
-        ]
-        with GridRunner(store=DirectoryStore(tmp_path)) as runner:
-            runner.sweep(sweep)
-        meta = DirectoryStore(tmp_path).get_meta(COST_META)
-        assert meta is not None and meta["groups"]
-        model = CostModel.from_store(DirectoryStore(tmp_path))
-        est = model.estimate_group(sweep, [0, 1])
-        assert est.source == "observed" and est.seconds > 0
 
 
 class TestElapsedField:

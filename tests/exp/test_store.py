@@ -104,21 +104,6 @@ class TestMemoryStore:
         # A fresh runner starts cold.
         assert not GridRunner().run([TINY])[0].cached
 
-    def test_meta_does_not_alias_caller_dicts(self):
-        """Regression: get_meta/put_meta must deep-copy, so a caller
-        mutating its payload (or the returned dict — the cost model
-        does exactly that with its observation groups) cannot corrupt
-        the stored observations."""
-        store = MemoryStore()
-        payload = {"schema": 1, "groups": {"g": {"mean": 1.0, "n": 1}}}
-        store.put_meta("m", payload)
-        payload["groups"]["g"]["mean"] = 99.0
-        assert store.get_meta("m")["groups"]["g"]["mean"] == 1.0
-        returned = store.get_meta("m")
-        returned["groups"]["g"]["n"] = 42
-        returned["groups"].clear()
-        assert store.get_meta("m")["groups"]["g"] == {"mean": 1.0, "n": 1}
-
 
     @pytest.mark.parametrize(
         "make", [MemoryStore, MemoryCheckpointStore], ids=["results", "checkpoints"]
@@ -225,8 +210,9 @@ class TestDirectoryStore:
 
     def test_keys_ignore_stray_json(self, tmp_path, tiny_result):
         """Only well-formed ``<scenario16>-<plat8>-<pol8>`` stems are
-        keys: notes, configs or truncated names dropped into the store
-        tree must not surface as phantom entries."""
+        keys: notes, configs, truncated names or an older release's
+        ``meta/costmodel.json`` dropped into the store tree must not
+        surface as phantom entries."""
         store = DirectoryStore(tmp_path)
         key = result_key(TINY)
         store.put(key, tiny_result)
@@ -236,10 +222,16 @@ class TestDirectoryStore:
         (tmp_path / key[:20]).with_suffix(".json").write_text(
             "{}", encoding="utf-8"
         )
+        (tmp_path / "meta").mkdir()
+        (tmp_path / "meta" / "costmodel.json").write_text(
+            '{"schema": 1, "groups": {}, "rates": {}}', encoding="utf-8"
+        )
         assert store.keys() == [key]
         # Phantoms are invisible to prune too: it keeps the real entry.
         assert store.prune(max_entries=1) == []
-        assert store.get(key) is not None
+        assert store.get(key).same_outcome(tiny_result)
+        assert store.prune(max_entries=0) == [key]
+        assert store.keys() == [] and store.get(key) is None
 
 
 def _truncated_series_store(tmp_path):
@@ -363,47 +355,6 @@ class TestSharedDirectoryStore:
         for key in store.keys():
             assert store.get(key) is not None
         assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
-
-    def test_concurrent_put_meta_last_writer_wins(self, tmp_path):
-        """Two runners flushing cost-model observations into one
-        shared store: every racing write commits atomically, the
-        survivor is one of the written payloads intact (last writer
-        wins, no torn JSON), and corrupt meta heals to missing."""
-        import threading
-
-        store = DirectoryStore(tmp_path)
-        payloads = [
-            {"schema": 1, "groups": {f"g{w}": {"mean": float(w), "n": w + 1}}}
-            for w in range(2)
-        ]
-        errors: list[BaseException] = []
-        gate = threading.Barrier(2)
-
-        def flush(writer: int) -> None:
-            try:
-                gate.wait()
-                for _ in range(25):
-                    DirectoryStore(tmp_path).put_meta(
-                        "cost-model", payloads[writer]
-                    )
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=flush, args=(w,)) for w in range(2)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        survivor = store.get_meta("cost-model")
-        assert survivor in payloads  # intact, not interleaved
-        assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
-        # Corruption heals to a silent miss, not an exception.
-        meta_path = next((tmp_path / "meta").glob("cost-model.json"))
-        meta_path.write_text("{torn")
-        assert DirectoryStore(tmp_path).get_meta("cost-model") is None
 
     def test_stale_entries_are_replaced(self, tmp_path):
         """Regression: a write replaces an entry that no longer serves

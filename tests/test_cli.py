@@ -100,7 +100,25 @@ class TestExpRun:
             *TINY_NAMED,
         )
         assert code == 0
-        assert "3 group(s), 5 cell(s)" in out
+        assert "3 unit(s), 5 cell(s)" in out
+
+    def test_plan_leaves_out_what_the_store_holds(self, capsys, tmp_path):
+        # Regression: --plan listed cells the sweep would serve from
+        # the store.  Store the seed-5 group, then plan both seeds.
+        grid = ["interval=medianjob", "policy=MIX", "cap=0.6,0.5,0.4"]
+        store = ["--cache-dir", str(tmp_path), *TINY]
+        code, _ = run_cli(
+            capsys, "exp", "run", "--grid", *grid, "seed=5",
+            "--backend", "batch", *store,
+        )
+        assert code == 0
+        code, out = run_cli(
+            capsys, "exp", "run", "--grid", *grid, "seed=5,6",
+            "--workers", "2", "--plan", *store,
+        )
+        assert code == 0
+        assert "1 unit(s), 3 cell(s)" in out
+        assert "medianjob-mix-60-s6" in out and "-s5" not in out
 
     def test_unknown_scenario_lists_library(self, capsys):
         with pytest.raises(SystemExit, match="fig6-24h-mix-40"):
