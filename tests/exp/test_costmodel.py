@@ -2,13 +2,16 @@
 
 The estimates only order the batch-pool dispatch — these tests pin the
 properties that ordering relies on (monotonic cold estimates, shared
-prefixes folded into group estimates, deterministic LPT placement).
+prefixes folded into group estimates, deterministic LPT placement),
+and that the calibration metadata an older store still holds stays
+inert.
 """
 
 import pytest
 
 from repro.exp import (
     CapWindow,
+    DirectoryStore,
     GridRunner,
     GroupEstimate,
     Scenario,
@@ -93,6 +96,20 @@ class TestLPTPlacement:
         assert "4 unit(s), 4 cell(s)" in text
         assert "est total 13.0s" in text
         assert "makespan 7.0s" in text
+
+
+class TestMetaPersistence:
+    """Stores written before calibration was dropped keep a
+    ``meta/costmodel.json`` that nothing reads any more."""
+
+    def test_meta_does_not_leak_into_result_keys(self, tmp_path):
+        doc = tmp_path / "meta" / "costmodel.json"
+        doc.parent.mkdir()
+        doc.write_text('{"schema": 1, "groups": {}, "rates": {}}', encoding="utf-8")
+        store = DirectoryStore(tmp_path)
+        assert store.keys() == []
+        assert store.prune(max_entries=0) == []
+        assert doc.exists()
 
 
 class TestElapsedField:
