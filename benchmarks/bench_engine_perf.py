@@ -314,13 +314,14 @@ def test_perf_backend_pool(benchmark):
     assert len(results) == len(scenarios)
 
 
-# -- batched lockstep replay ---------------------------------------------------------
+# -- batched replay ------------------------------------------------------------------
 #
 # The shape the batch engine exists for: one workload, one platform,
 # twelve cap fractions — a powercap sweep column.  The serial case is
 # the floor (twelve independent replays); the batch case replays the
-# same twelve cells in lockstep, sharing the pre-window prefix via a
-# checkpointed warm start.  BENCH_pr6.json records the trajectory.
+# pre-window prefix of the same twelve cells once, forks it into every
+# cell and runs each cell on alone.  BENCH_pr6.json records the
+# trajectory.
 
 
 def _cap_sweep_cells():
@@ -440,7 +441,8 @@ def _multigroup_cap_sweep_cells():
 def test_perf_cap_sweep_batch_multigroup(benchmark):
     """The single-process floor of the batch-pool comparison: the same
     three-group, twelve-cell sweep through the in-process batch
-    backend — groups replay in lockstep, but one after another."""
+    backend — each group shares its prefix, but the groups run one
+    after another."""
     from repro.exp import GridRunner, make_backend
 
     cells = _multigroup_cap_sweep_cells()

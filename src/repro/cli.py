@@ -596,10 +596,10 @@ def _print_profile_summary(profile_dir: str, top: int = 15) -> None:
 def _print_sweep_plan(args: argparse.Namespace, scenarios: list) -> int:
     """``exp run --plan``: the batch-pool schedule, nothing executed.
 
-    Builds the sweep's runner for its store and shard, dedupes the
-    scenarios it owns by content hash, drops those the store already
-    serves (as :meth:`repro.exp.GridRunner.sweep` does), and prints
-    the placement the pool computes for ``--workers`` workers
+    Builds the sweep's runner for its store, shard and ``--on-error``,
+    takes the scenarios its sweep would execute
+    (:meth:`repro.exp.GridRunner.select`), and prints the placement
+    the pool computes for ``--workers`` workers
     (:func:`repro.exp.backends.place_units`).
     """
     from repro.exp import shm
@@ -607,15 +607,9 @@ def _print_sweep_plan(args: argparse.Namespace, scenarios: list) -> int:
     from repro.exp.costmodel import plan_table
 
     with _build_runner(args) as runner:
-        to_run: dict = {}
-        for sc in scenarios:
-            key = sc.scenario_hash()
-            if key in to_run or not runner.backend.owns(key):
-                continue
-            if runner._lookup(sc) is None:
-                to_run[key] = sc
+        to_run = runner.select(scenarios).to_run
     workers = max(1, args.workers)
-    print(plan_table(place_units(list(to_run.values()), True, workers), workers))
+    print(plan_table(place_units(to_run, True, workers), workers))
     print(shm.status_line())
     return 0
 
@@ -891,8 +885,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "anything: every unit (lockstep groups and "
                         "singleton cells in one queue) with its cost "
                         "estimate and LPT worker placement; scenarios the "
-                        "store already holds are left out, as the sweep "
-                        "would serve them")
+                        "store already holds, and known failures under "
+                        "--on-error skip, are left out, as the sweep "
+                        "would not run them")
     p.set_defaults(func=cmd_exp_run)
 
     p = exp_sub.add_parser("compare", help="compare two library scenarios")

@@ -19,7 +19,7 @@ The subsystem behind ``repro exp run/list/compare``:
   ``dir:PATH`` and ``shared:PATH`` specs both name it
   (:mod:`repro.exp.store`);
 * :class:`CheckpointStore` — persistent content-addressed warm-start
-  prefixes: the lockstep fork state as a durable artifact, restored
+  prefixes: the batch replay's fork state as a durable artifact, restored
   bit-identically across runs, backends, and machines, in memory or
   in a :class:`DirectoryCheckpointStore` on the same file layer as
   :class:`DirectoryStore` (:mod:`repro.exp.checkpoints`);

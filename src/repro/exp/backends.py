@@ -10,10 +10,10 @@ series) or a :class:`~repro.exp.resilience.TaskFailure`.  Retries,
 group tallies and transfer bytes go into the sweep's ``counts``
 (:attr:`~repro.exp.resilience.SweepReport.counts`) as they happen.
 
-* :class:`BatchBackend` runs the units in this process: a group
-  through the lockstep replay :func:`repro.exp.runner._run_group_task`
-  also uses, a cell through :func:`repro.exp.runner.run_scenario` with
-  in-process retries.
+* :class:`BatchBackend` runs the units in this process through
+  :func:`repro.exp.runner._replay_unit`, the replay the pool's tasks
+  also run: a group once, a cell as a batch of one with in-process
+  retries.
 * :class:`PoolBackend` runs every unit on a worker of a
   :class:`concurrent.futures.ProcessPoolExecutor` as
   :func:`~repro.exp.runner._run_group_task` or
@@ -137,9 +137,9 @@ class BatchBackend(ExecutionBackend):
 
     Grouped, scenarios that differ only in their cap windows — the
     shape of a powercap sweep — replay as one lockstep group through
-    :func:`repro.sim.batch.run_replay_batch`: one scenario-major
-    node-state matrix, a shared event horizon, and a checkpointed
-    warm-start of the pre-window prefix.  Results are bit-identical to
+    :func:`repro.sim.batch.run_replay_batch`: the pre-window prefix is
+    replayed once and forked, then each cell runs alone.  Ungrouped,
+    every cell is a batch of one.  Results are bit-identical to
     independent replays — the golden digests pin this.
 
     **Graceful degradation**: a cell with an armed fault plan entry is
@@ -208,18 +208,18 @@ class BatchBackend(ExecutionBackend):
         units = _units(scenarios, self.grouped, faulty)
         if self.grouped:
             _count_units(units, counts)
+        replay = partial(
+            runner._replay_unit,
+            series=series,
+            grid_dt=grid_dt,
+            checkpoints=checkpoints,
+            counts=counts,
+            profile_dir=profile_dir,
+        )
         for unit in units:
-            cells = [scenarios[i] for i in unit]
             if len(unit) > 1:
                 try:
-                    payloads = runner._replay_group(
-                        cells,
-                        series=series,
-                        grid_dt=grid_dt,
-                        checkpoints=checkpoints,
-                        counts=counts,
-                        profile_dir=profile_dir,
-                    )
+                    payloads = replay([scenarios[i] for i in unit])
                 except Exception:  # noqa: BLE001 - degrade, don't lose the group
                     # The failure has no single owner yet; solo re-runs
                     # attribute (and retry) it exactly.
@@ -227,22 +227,14 @@ class BatchBackend(ExecutionBackend):
                 else:
                     yield from zip(unit, payloads)
                     continue
-            for i, sc in zip(unit, cells):
+            for i in unit:
                 outcome, retries = run_with_retry(
-                    partial(
-                        runner._replay_cell,
-                        sc,
-                        series=series,
-                        grid_dt=grid_dt,
-                        checkpoints=checkpoints,
-                        counts=counts,
-                        profile_dir=profile_dir,
-                    ),
-                    label=sc.scenario_hash(),
+                    partial(replay, [scenarios[i]]),
+                    label=scenarios[i].scenario_hash(),
                     retry=retry,
                 )
                 counts["retries"] += retries
-                yield i, outcome
+                yield i, (outcome if isinstance(outcome, TaskFailure) else outcome[0])
 
 
 #: pools that must not survive interpreter shutdown (see _atexit_reap)

@@ -7,6 +7,12 @@ power/utilisation sample with bit-exact float encoding, so two results
 are equal iff the replays were byte-for-byte identical; that is what
 makes serial and multi-process grid runs directly comparable.
 
+Every execution unit — a lockstep group of cells that differ only in
+their caps, or a single cell as a batch of one — replays through one
+function, :func:`_replay_unit`, on
+:func:`repro.sim.batch.run_replay_batch`, whether it runs in this
+process or as a pool task (:func:`_run_task`, :func:`_run_group_task`).
+
 :class:`GridRunner` is pure orchestration over two pluggable seams:
 an :class:`~repro.exp.backends.ExecutionBackend` (where scenarios
 execute: in-process, a ``multiprocessing`` pool, or one deterministic
@@ -28,7 +34,7 @@ import time
 import warnings
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -67,7 +73,7 @@ from repro.exp.store import (
     result_key,
 )
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.replay import ReplayResult, run_replay
+from repro.sim.replay import ReplayResult
 
 #: cache file schema version
 _CACHE_SCHEMA = 1
@@ -266,52 +272,57 @@ def replay_scenario(
     checkpoints: CheckpointStore | None = None,
     counts: Counter | None = None,
 ) -> ReplayResult:
-    """Run the full replay of a scenario (in-process, full telemetry).
+    """Run the full replay of a scenario (in-process, full telemetry):
+    a batch of one cell (see :func:`_replay_cells`)."""
+    return _replay_cells([scenario], checkpoints, counts)[0]
 
-    With a ``checkpoints`` store the replay runs as a batch of one
-    cell through :func:`repro.sim.batch.run_replay_batch` — bit
-    identical to the plain path, pinned by the cross-backend golden
-    digests — probing the store for its cap-free prefix before
-    replaying it cold, and publishing the prefix on a miss so the next
-    run (any backend, any process, any machine) warm-starts.  Probes
-    and publishes are counted into ``counts`` when given (see
-    :class:`~repro.exp.checkpoints.WarmStart`).
+
+def _replay_cells(
+    scenarios: Sequence[Scenario],
+    checkpoints: CheckpointStore | None = None,
+    counts: Counter | None = None,
+) -> list[ReplayResult]:
+    """Replay scenarios that differ at most in their caps as one batch
+    through :func:`repro.sim.batch.run_replay_batch`: the shared prefix
+    once, then each cell alone — bit identical to solo replays, pinned
+    by the cross-backend golden digests.
+
+    With a ``checkpoints`` store the batch probes the store for its
+    cap-free prefix before replaying it cold, and publishes the prefix
+    on a miss so the next run (any backend, any process, any machine)
+    warm-starts.  Probes and publishes are counted into ``counts`` when
+    given (see :class:`~repro.exp.checkpoints.WarmStart`).
     """
     from repro.platform import get_platform
+    from repro.sim.batch import run_replay_batch
 
-    platform = get_platform(scenario.platform)
+    base = scenarios[0]
+    platform = get_platform(base.platform)
     platform_hash = platform.content_hash()
-    machine = _machine_for(scenario.platform, platform_hash, scenario.scale)
+    machine = _machine_for(base.platform, platform_hash, base.scale)
     jobs = _jobs_for(
-        scenario.platform,
+        base.platform,
         platform_hash,
-        scenario.interval,
-        scenario.effective_seed,
-        scenario.effective_duration,
-        scenario.overload,
-        scenario.scale,
+        base.interval,
+        base.effective_seed,
+        base.effective_duration,
+        base.overload,
+        base.scale,
     )
-    if checkpoints is not None:
-        from repro.sim.batch import run_replay_batch
-
-        warm = WarmStart(checkpoints, checkpoint_group(scenario), counts)
-        return run_replay_batch(
-            machine,
-            jobs,
-            scenario.build_policy(machine),
-            duration=scenario.effective_duration,
-            caps_per_cell=[scenario.build_caps(machine)],
-            config=scenario.build_config(),
-            platform=platform,
-            warm_start=warm,
-        )[0]
-    return run_replay(
+    warm = (
+        WarmStart(checkpoints, checkpoint_group(base), counts)
+        if checkpoints is not None
+        else None
+    )
+    return run_replay_batch(
         machine,
         jobs,
-        scenario.build_policy(machine),
-        duration=scenario.effective_duration,
-        powercaps=scenario.build_caps(machine),
-        config=scenario.build_config(),
+        base.build_policy(machine),
+        duration=base.effective_duration,
+        caps_per_cell=[sc.build_caps(machine) for sc in scenarios],
+        config=base.build_config(),
+        platform=platform,
+        warm_start=warm,
     )
 
 
@@ -374,12 +385,12 @@ def run_scenario(
     hook keys on it, so a ``times=1`` fault fails the first attempt
     and lets the retry through.  A no-op unless a plan is armed.
     ``checkpoints``/``counts`` thread warm starts into the replay (see
-    :func:`replay_scenario`); ``profile_dir`` wraps it in cProfile.
+    :func:`_replay_cells`); ``profile_dir`` wraps it in cProfile.
     """
-    return _replay_cell(
-        scenario, attempt, series=False, grid_dt=0.0,
+    return _replay_unit(
+        [scenario], attempt, series=False, grid_dt=0.0,
         checkpoints=checkpoints, counts=counts, profile_dir=profile_dir,
-    )
+    )[0]
 
 
 def run_scenario_with_series(
@@ -393,14 +404,14 @@ def run_scenario_with_series(
 ) -> tuple[RunResult, dict[str, np.ndarray]]:
     """Replay one scenario; return the condensed result *and* the
     Figure 6/7 grid series (the payload behind ``.npz`` caching)."""
-    return _replay_cell(
-        scenario, attempt, series=True, grid_dt=grid_dt,
+    return _replay_unit(
+        [scenario], attempt, series=True, grid_dt=grid_dt,
         checkpoints=checkpoints, counts=counts, profile_dir=profile_dir,
-    )
+    )[0]
 
 
-def _replay_cell(
-    scenario: Scenario,
+def _replay_unit(
+    scenarios: Sequence[Scenario],
     attempt: int = 1,
     *,
     series: bool,
@@ -408,17 +419,42 @@ def _replay_cell(
     checkpoints: CheckpointStore | None = None,
     counts: Counter | None = None,
     profile_dir: str | Path | None = None,
-) -> Any:
-    """One solo unit in this process: the :class:`RunResult`, or
-    ``(RunResult, grid)`` with ``series``."""
-    _faults.maybe_fire(scenario.scenario_hash(), attempt)
+    shm_prefix: str | None = None,
+) -> list[Any]:
+    """One execution unit in this process — a lockstep group, or a
+    single cell as a batch of one — through :func:`_replay_cells`.
+
+    Planned faults fire first, once per cell.  Returns one payload per
+    cell in input order (``RunResult``, or ``(RunResult, series)`` with
+    ``series``; the series rides an shm segment under ``shm_prefix``
+    when given).  A group cell's wall clock reports its share of the
+    batch plus its own condensing, so wall sums stay comparable across
+    backends, and the group's full elapsed rides on every cell; a
+    single cell is its own unit, so its elapsed is its wall.
+    """
+    for sc in scenarios:
+        _faults.maybe_fire(sc.scenario_hash(), attempt)
+    base = scenarios[0]
+    stem = (
+        base.scenario_hash()
+        if len(scenarios) == 1
+        else f"batch-{base.with_(caps=()).scenario_hash()}"
+    )
     t0 = time.perf_counter()
-    with _profiled(scenario.scenario_hash(), profile_dir):
-        result = replay_scenario(scenario, checkpoints=checkpoints, counts=counts)
-    run = _condense(scenario, result, t0)
-    if not series:
-        return run
-    return run, dict(result.recorder.to_grid(0.0, result.duration, grid_dt))
+    with _profiled(stem, profile_dir):
+        replays = _replay_cells(scenarios, checkpoints, counts)
+    elapsed = time.perf_counter() - t0
+    payloads: list[Any] = []
+    for sc, rep in zip(scenarios, replays):
+        result = _condense(sc, rep, time.perf_counter() - elapsed / len(scenarios))
+        if len(scenarios) > 1:
+            result = replace(result, elapsed_seconds=elapsed)
+        if series:
+            grid = dict(rep.recorder.to_grid(0.0, rep.duration, grid_dt))
+            payloads.append((result, _pack_series(grid, shm_prefix, counts)))
+        else:
+            payloads.append(result)
+    return payloads
 
 
 def _condense(scenario: Scenario, result: ReplayResult, t0: float) -> RunResult:
@@ -454,76 +490,10 @@ def _condense(scenario: Scenario, result: ReplayResult, t0: float) -> RunResult:
         n_events=result.controller.engine.processed_events,
         n_samples=rec.n_samples,
         wall_seconds=wall,
-        # Solo replays are their own execution unit; batch callers
-        # overwrite this with the whole group's elapsed.
+        # A single cell is its own execution unit; a group overwrites
+        # this with the whole group's elapsed.
         elapsed_seconds=wall,
     )
-
-
-def _replay_group(
-    scenarios: Sequence[Scenario],
-    *,
-    series: bool,
-    grid_dt: float,
-    checkpoints: CheckpointStore | None = None,
-    counts: Counter | None = None,
-    profile_dir: str | None = None,
-    shm_prefix: str | None = None,
-) -> list[Any]:
-    """One lockstep group in this process, through
-    :func:`repro.sim.batch.run_replay_batch`.
-
-    Returns one payload per cell in input order (``RunResult``, or
-    ``(RunResult, series)`` with ``series``; the series rides an shm
-    segment under ``shm_prefix`` when given).  Each cell's wall clock
-    reports its share of the batch, so wall sums stay comparable
-    across backends; the group's full elapsed rides on every cell.
-    """
-    from repro.platform import get_platform
-    from repro.sim.batch import run_replay_batch
-
-    base = scenarios[0]
-    t0 = time.perf_counter()
-    platform = get_platform(base.platform)
-    platform_hash = platform.content_hash()
-    machine = _machine_for(base.platform, platform_hash, base.scale)
-    jobs = _jobs_for(
-        base.platform,
-        platform_hash,
-        base.interval,
-        base.effective_seed,
-        base.effective_duration,
-        base.overload,
-        base.scale,
-    )
-    warm = (
-        WarmStart(checkpoints, checkpoint_group(base), counts)
-        if checkpoints is not None
-        else None
-    )
-    with _profiled(f"batch-{base.with_(caps=()).scenario_hash()}", profile_dir):
-        replays = run_replay_batch(
-            machine,
-            jobs,
-            base.build_policy(machine),
-            duration=base.effective_duration,
-            caps_per_cell=[sc.build_caps(machine) for sc in scenarios],
-            config=base.build_config(),
-            platform=platform,
-            warm_start=warm,
-        )
-    t_end = time.perf_counter()
-    elapsed = t_end - t0
-    share_t0 = t_end - elapsed / len(scenarios)
-    payloads: list[Any] = []
-    for sc, rep in zip(scenarios, replays):
-        result = replace(_condense(sc, rep, share_t0), elapsed_seconds=elapsed)
-        if series:
-            grid = dict(rep.recorder.to_grid(0.0, rep.duration, grid_dt))
-            payloads.append((result, _pack_series(grid, shm_prefix, counts)))
-        else:
-            payloads.append(result)
-    return payloads
 
 
 def _arm_worker(
@@ -550,7 +520,7 @@ def _arm_worker(
 def _pack_series(
     grid: dict[str, np.ndarray],
     shm_prefix: str | None,
-    counts: Counter,
+    counts: Counter | None,
 ) -> Any:
     """Worker-side series transport: a segment descriptor when the
     data plane is on, the plain dict (pickle path) otherwise.
@@ -572,77 +542,57 @@ def _run_task(
     scenario: Scenario,
     *,
     platforms: Sequence[Mapping[str, Any]],
-    series: bool,
-    grid_dt: float,
     faults: Mapping[str, Any] | None = None,
-    attempt: int = 1,
-    checkpoints: CheckpointStore | None = None,
-    profile_dir: str | None = None,
-    shm_prefix: str | None = None,
+    **unit: Any,
 ):
-    """One solo cell as a pool work item (top-level so it pickles).
-
-    Returns ``(counts, [payload])``, the shape of
-    :func:`_run_group_task`'s reply: a directory checkpoint store
-    pickles as its path, so the worker probes/publishes the driver's
-    entries, and its warm-start and transfer counts ride back for the
-    pool to merge into the sweep's counter.
-    """
+    """One solo cell as a pool work item (top-level so it pickles): a
+    unit of one, see :func:`_run_group_task`."""
     _arm_worker(platforms, faults)
     counts: Counter = Counter()
-    payload = _replay_cell(
-        scenario,
-        attempt,
-        series=series,
-        grid_dt=grid_dt,
-        checkpoints=checkpoints,
-        counts=counts,
-        profile_dir=profile_dir,
-    )
-    if series:
-        payload = (payload[0], _pack_series(payload[1], shm_prefix, counts))
-    return counts, [payload]
+    return counts, _replay_unit([scenario], counts=counts, **unit)
 
 
 def _run_group_task(
     envelope: "_shm.GroupEnvelope",
     *,
     platforms: Sequence[Mapping[str, Any]],
-    series: bool,
-    grid_dt: float,
     faults: Mapping[str, Any] | None = None,
-    attempt: int = 1,
-    checkpoints: CheckpointStore | None = None,
-    profile_dir: str | None = None,
-    shm_prefix: str | None = None,
+    **unit: Any,
 ):
     """One whole lockstep group as a pool work item (top-level so it
     pickles to workers).
 
-    Returns ``(counts, payloads)`` with one payload per cell in input
-    order (see :func:`_replay_group`).  Any exception —
-    including a planned fault fired by a member cell, which on the
-    pool may kill this whole worker — is the driver's signal to
-    degrade the group to solo units.
+    ``unit`` holds :func:`_replay_unit`'s keywords (``attempt``,
+    ``series``, ``grid_dt``, ``checkpoints``, ``profile_dir``,
+    ``shm_prefix``).  Returns ``(counts, payloads)`` with one payload
+    per cell in input order: a directory checkpoint store pickles as
+    its path, so the worker probes/publishes the sweep's own entries,
+    and its warm-start and transfer counts ride back for the pool to
+    merge into the sweep's counter.  Any exception — including a
+    planned fault fired by a member cell, which on the pool may kill
+    this whole worker — is the pool's signal to degrade the group to
+    solo units.
     """
     _arm_worker(platforms, faults)
     scenarios = envelope.resolve()
-    for sc in scenarios:
-        # Planned faults fire here, before the replay, exactly as on
-        # the solo path — except a crash kills a *worker*, not the
-        # driver, and costs its group the lockstep speedup only.
-        _faults.maybe_fire(sc.scenario_hash(), attempt)
     counts: Counter = Counter()
-    payloads = _replay_group(
-        scenarios,
-        series=series,
-        grid_dt=grid_dt,
-        checkpoints=checkpoints,
-        counts=counts,
-        profile_dir=profile_dir,
-        shm_prefix=shm_prefix,
-    )
-    return counts, payloads
+    return counts, _replay_unit(scenarios, counts=counts, **unit)
+
+
+@dataclass
+class SweepSelection:
+    """A sweep's selection before anything runs (:meth:`GridRunner.select`)."""
+
+    #: owned scenarios to execute, one per content hash, in input order
+    to_run: list[Scenario] = field(default_factory=list)
+    #: content hash of each ``to_run`` scenario -> its input slots
+    slots: dict[str, list[int]] = field(default_factory=dict)
+    #: ``(input slot, stored result)`` of every store hit
+    hits: list[tuple[int, RunResult]] = field(default_factory=list)
+    #: persisted failures skipped under ``on_error="skip"``
+    skipped: list[FailureRecord] = field(default_factory=list)
+    #: hashes in ``to_run`` with a persisted failure (a success heals it)
+    known_failed: set[str] = field(default_factory=set)
 
 
 class GridRunner:
@@ -847,6 +797,50 @@ class GridRunner:
 
     # -- execution --------------------------------------------------------------------
 
+    def select(self, scenarios: Sequence[Scenario]) -> "SweepSelection":
+        """What :meth:`sweep` runs, serves and skips, running nothing.
+
+        Dedupes by content hash, drops scenarios outside the backend's
+        shard, takes store hits, and under ``on_error="skip"`` drops
+        scenarios with a persisted failure record.  ``repro exp run
+        --plan`` places exactly the selected ``to_run``.  A hit bumps
+        the entry's access time for LRU pruning, as in a sweep.
+        """
+        sel = SweepSelection()
+        hits: dict[str, RunResult] = {}
+        dropped: set[str] = set()  # foreign shards and skipped failures
+        track_failures = self.store.persists_failures
+        for i, sc in enumerate(scenarios):
+            key = sc.scenario_hash()
+            if key in sel.slots:
+                sel.slots[key].append(i)
+                continue
+            if key in hits:
+                sel.hits.append((i, hits[key]))
+                continue
+            if key in dropped:
+                continue
+            if not self.backend.owns(key):
+                dropped.add(key)
+                continue
+            cached = self._lookup(sc)
+            if cached is not None:
+                hits[key] = cached
+                sel.hits.append((i, cached))
+                continue
+            if track_failures:
+                prior = self.store.get_failure(result_key(sc))
+                if prior is not None:
+                    if self.on_error == "skip":
+                        # Known-bad: don't burn attempts on it again.
+                        sel.skipped.append(replace(prior, skipped=True))
+                        dropped.add(key)
+                        continue
+                    sel.known_failed.add(key)  # re-attempt; success heals
+            sel.slots[key] = [i]
+            sel.to_run.append(sc)
+        return sel
+
     def run(
         self,
         scenarios: Sequence[Scenario],
@@ -902,16 +896,11 @@ class GridRunner:
         report = SweepReport(backend=self.backend.name)
         counts = report.counts
 
-        # Dedupe by content hash, drop foreign shards, serve store
-        # hits, and settle known failures from earlier sweeps.
-        to_run: list[Scenario] = []
-        slot_of: dict[str, list[int]] = {}
-        hits: dict[str, RunResult] = {}
-        foreign: set[str] = set()
-        known_failed: set[str] = set()  # hashes with a persisted record
-        settled: set[str] = set()  # hashes skipped as known failures
-
-        def serve_hit(i: int, sc: Scenario, hit: RunResult) -> None:
+        selection = self.select(scenarios)
+        to_run, slot_of = selection.to_run, selection.slots
+        report.skipped = selection.skipped
+        for i, hit in selection.hits:
+            sc = scenarios[i]
             slot_result = hit if hit.scenario == sc else replace(hit, scenario=sc)
             results[i] = slot_result
             counts["hits"] += 1
@@ -919,36 +908,6 @@ class GridRunner:
                 progress(slot_result)
 
         track_failures = self.store.persists_failures
-        for i, sc in enumerate(scenarios):
-            key = sc.scenario_hash()
-            if key in slot_of:
-                slot_of[key].append(i)
-                continue
-            if key in hits:
-                serve_hit(i, sc, hits[key])
-                continue
-            if key in foreign or key in settled:
-                continue
-            if not self.backend.owns(key):
-                foreign.add(key)
-                continue
-            cached = self._lookup(sc)
-            if cached is not None:
-                hits[key] = cached
-                serve_hit(i, sc, cached)
-                continue
-            if track_failures:
-                prior = self.store.get_failure(result_key(sc))
-                if prior is not None:
-                    if self.on_error == "skip":
-                        # Known-bad: don't burn attempts on it again.
-                        report.skipped.append(replace(prior, skipped=True))
-                        settled.add(key)
-                        continue
-                    known_failed.add(key)  # re-attempt; success heals
-            slot_of[key] = [i]
-            to_run.append(sc)
-
         failed: set[str] = set()  # hashes that failed terminally this sweep
 
         def record_failure(sc: Scenario, failure: TaskFailure) -> None:
@@ -1011,7 +970,7 @@ class GridRunner:
             self.store.put(result_key(result.scenario), result)
             counts["executed"] += 1
             scenario_hash = result.scenario_hash
-            if scenario_hash in known_failed and track_failures:
+            if scenario_hash in selection.known_failed:
                 # Heal: a success supersedes the persisted failure.
                 if self.store.pop_failure(result_key(result.scenario)):
                     report.healed.append(sc.name)

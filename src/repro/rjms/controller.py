@@ -615,12 +615,6 @@ class Controller:
             (sd.start for sd in pending_sds), default=math.inf
         )
         view: PowercapView | None = None
-        #: per-pass memo of frequency decisions keyed by the decision's
-        #: full input (n_nodes, walltime); the view only changes when a
-        #: job starts, which clears the memo (walltimes cluster on the
-        #: default limit and the queue-menu grains, so blocked passes
-        #: collapse to a handful of distinct ladder walks)
-        decide_cache: dict[tuple[int, float], object] = {}
 
         def try_start(pos: int, window: BackfillWindow | None) -> bool:
             nonlocal view
@@ -635,9 +629,7 @@ class Controller:
                     else PowercapView(ReservationRegistry(0), self.accountant, now, ())
                 )
             job = self.queue.job(int(ids[pos]))
-            return self._try_start(
-                job, now, view, alloc, pending_sds, window, decide_cache
-            )
+            return self._try_start(job, now, view, alloc, pending_sds, window)
 
         # FCFS: candidates start in priority order until one cannot,
         # by bound (a) or (c) or inside _try_start.
@@ -685,18 +677,9 @@ class Controller:
         alloc: _PassAllocator,
         pending_sds: list[ShutdownReservation],
         window: BackfillWindow | None,
-        decide_cache: dict[tuple[int, float], object] | None = None,
     ) -> bool:
-        # Online phase: frequency decision (Algorithm 2).  The decision
-        # is a pure function of (n_nodes, walltime) and the pass view,
-        # so identical candidates reuse the memoised result until a
-        # start changes the view.
-        key = (job.n_nodes, job.spec.walltime)
-        decision = decide_cache.get(key) if decide_cache is not None else None
-        if decision is None:
-            decision = self.freq_selector.decide(job.n_nodes, job.spec.walltime, view)
-            if decide_cache is not None:
-                decide_cache[key] = decision
+        # Online phase: frequency decision (Algorithm 2).
+        decision = self.freq_selector.decide(job.n_nodes, job.spec.walltime, view)
         if not decision.ok:
             return False
         expected_end = now + job.spec.walltime * decision.degradation
@@ -711,8 +694,6 @@ class Controller:
             return False
         self._start_job(job, nodes, decision, now)
         view.note_start(job.n_nodes, decision.freq_index, expected_end)
-        if decide_cache is not None:
-            decide_cache.clear()
         return True
 
     def _start_job(self, job, nodes: np.ndarray, decision, now: float) -> None:

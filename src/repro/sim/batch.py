@@ -1,35 +1,27 @@
-"""Batched lockstep replay: N same-platform replays in one process.
+"""Batched replay: N cap schedules of one workload in one process.
 
 Grid cells of a powercap sweep differ only in their cap windows; the
 workload, the machine, the policy and the scheduler configuration are
-shared.  This module replays N such cells together:
+shared.  So the only work the cells can share is the replay before any
+cell's caps can act on it, and that is what this module shares:
 
-* **Array facade** — every cell's :class:`~repro.cluster.power.
-  PowerAccountant` state is re-homed into one scenario-major
-  structure-of-arrays (:class:`BatchNodeArrays`), mirroring the
-  columnar metrics recorder: per-scenario rows, per-node columns.
-  Each accountant keeps operating on its own row *view*, so all its
-  vectorised transitions work unchanged, while whole-batch readouts
-  (node states, power accounting) are single NumPy reductions.
-
-* **Shared event horizon** — the cells advance in lockstep between
-  the union of their reservation-window boundaries, one
-  ``engine.run(until=boundary)`` slice per cell per chunk.  Chunked
-  advancement is observationally identical to one continuous run: the
-  engine clock never moves past the last processed event of a drained
-  queue (see :meth:`SimEngine.run`), so slicing introduces no
-  spurious clock motion.
-
-* **Checkpointed warm-starts** — before the earliest instant at which
-  any cell's cap set can influence its replay, all cells are
-  provably byte-identical.  One donor cell replays that shared prefix
+* **Shared prefix** — before the earliest instant at which any cell's
+  cap set can influence its replay (the divergence onset, computed
+  conservatively per cell, see :func:`_divergence_onset`), all cells
+  are provably byte-identical.  One donor cell replays that prefix
   once (:meth:`SimEngine.run_before` keeps events *at* the fork time
   pending), then every sibling is forked from a structured checkpoint
-  of the donor's engine/controller/recorder state.  Divergence onset
-  is computed conservatively per cell (see :func:`_divergence_onset`);
-  whenever the bound is not strictly positive, the batch falls back to
-  plain lockstep from time zero — correctness never depends on the
-  warm start, only the speedup does.
+  of the donor's engine/controller/recorder state.  Whenever the bound
+  is not strictly positive, every cell replays from time zero —
+  correctness never depends on the fork, only the speedup does.
+
+* **Warm starts** — the same checkpoint, persisted by
+  :mod:`repro.exp.checkpoints`, lets a later batch (of any size, one
+  cell included) install the prefix instead of replaying it.
+
+After the fork each cell runs to the end of the replay on its own: no
+cell reads another, and :meth:`SimEngine.run` makes one continuous
+run identical to any chunking of it.
 
 Bit-identity is the contract: a batched cell produces the same trace
 digest as :func:`repro.sim.replay.run_replay` on the same scenario.
@@ -44,14 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.machine import Machine
-from repro.cluster.power import PowerAccountant
 from repro.core.online import FrequencySelector
-from repro.core.policies import Policy, make_policy
+from repro.core.policies import Policy
 from repro.rjms.config import SchedulerConfig
 from repro.rjms.controller import Controller
 from repro.rjms.job import Job, JobState
@@ -62,10 +53,8 @@ from repro.sim.replay import ReplayResult
 from repro.workload.spec import JobSpec
 
 __all__ = [
-    "BatchNodeArrays",
     "FORK_STATE_VERSION",
     "capture_fork_state",
-    "fork_state_nbytes",
     "install_fork_state",
     "run_replay_batch",
 ]
@@ -88,95 +77,6 @@ _FORKABLE_KINDS = frozenset(
 )
 
 
-class BatchNodeArrays:
-    """Scenario-major structure-of-arrays over N power accountants.
-
-    Row ``i`` holds cell ``i``'s node-state, frequency and power
-    vectors; adopting an accountant repoints its attributes at the
-    row's views, so every incremental transition it performs lands in
-    the shared matrices while the accountant's own code is untouched
-    (row slices of a C-contiguous matrix are themselves contiguous,
-    so fancy indexing and ``np.add.at`` work identically on them).
-
-    The running-job tables and the metrics series stay per-cell — the
-    pending queue and the recorder are already columnar SoA — and the
-    facade unifies the remaining hot state: node state, DVFS indices,
-    per-node watts, enclosure darkness counters and the busy/state
-    histograms that power accounting reads.
-    """
-
-    def __init__(self, accountants: Sequence[PowerAccountant]) -> None:
-        if not accountants:
-            raise ValueError("need at least one accountant")
-        base = accountants[0]
-        n_nodes = base.topology.n_nodes
-        for acct in accountants:
-            if (
-                acct.topology.n_nodes != n_nodes
-                or acct.topology.n_chassis != base.topology.n_chassis
-                or acct.topology.racks != base.topology.racks
-                or len(acct.freq_table) != len(base.freq_table)
-            ):
-                raise ValueError("accountants must share one platform shape")
-        n = len(accountants)
-        self.n_cells = n
-        self.n_nodes = n_nodes
-        self.state = np.empty((n, n_nodes), dtype=np.int8)
-        self.freq_index = np.empty((n, n_nodes), dtype=np.int16)
-        self.node_watts = np.empty((n, n_nodes), dtype=np.float64)
-        self.off_per_chassis = np.empty(
-            (n, base.topology.n_chassis), dtype=np.int32
-        )
-        self.dark_per_rack = np.empty((n, base.topology.racks), dtype=np.int32)
-        self.busy_count_by_freq = np.empty(
-            (n, len(base.freq_table)), dtype=np.int64
-        )
-        self.count_by_state = np.empty(
-            (n, len(base.count_by_state)), dtype=np.int64
-        )
-        for row, acct in enumerate(accountants):
-            self._adopt(row, acct)
-        self._accountants = tuple(accountants)
-
-    def _adopt(self, row: int, acct: PowerAccountant) -> None:
-        """Copy ``acct``'s vectors into row ``row`` and re-home its
-        attributes onto the row views."""
-        self.state[row] = acct.state
-        acct.state = self.state[row]
-        self.freq_index[row] = acct.freq_index
-        acct.freq_index = self.freq_index[row]
-        self.node_watts[row] = acct._node_watts
-        acct._node_watts = self.node_watts[row]
-        self.off_per_chassis[row] = acct._off_per_chassis
-        acct._off_per_chassis = self.off_per_chassis[row]
-        self.dark_per_rack[row] = acct._dark_per_rack
-        acct._dark_per_rack = self.dark_per_rack[row]
-        self.busy_count_by_freq[row] = acct.busy_count_by_freq
-        acct.busy_count_by_freq = self.busy_count_by_freq[row]
-        self.count_by_state[row] = acct.count_by_state
-        acct.count_by_state = self.count_by_state[row]
-
-    # -- whole-batch readouts ----------------------------------------------------------
-
-    def total_node_watts(self) -> np.ndarray:
-        """Per-cell sum of node watts (one reduction over the batch)."""
-        return self.node_watts.sum(axis=1)
-
-    def total_power(self) -> np.ndarray:
-        """Per-cell instantaneous cluster power (incl. infrastructure)."""
-        return np.array([a.total_power() for a in self._accountants])
-
-    def busy_nodes(self) -> np.ndarray:
-        """Per-cell count of BUSY nodes."""
-        return self.busy_count_by_freq.sum(axis=1)
-
-    def verify(self) -> None:
-        """Cross-check every adopted accountant against its row."""
-        for row, acct in enumerate(self._accountants):
-            assert acct.state.base is self.state, "row view detached"
-            acct.verify()
-
-
 @dataclass
 class _Cell:
     """One replay of the batch."""
@@ -186,7 +86,7 @@ class _Cell:
     controller: Controller
 
 
-def _fork_slack(policy: Policy, controller: Controller, specs: Sequence[JobSpec]) -> float:
+def _fork_slack(controller: Controller, specs: Sequence[JobSpec]) -> float:
     """Seconds before a cap window during which frequency decisions may
     already differ between cells.
 
@@ -198,6 +98,7 @@ def _fork_slack(policy: Policy, controller: Controller, specs: Sequence[JobSpec]
     the longest stretched walltime in the workload: a decision at
     ``t`` can only see windows starting before ``t + walltime * deg``.
     """
+    policy = controller.policy
     selector = controller.freq_selector
     cfg = controller.config
     if (
@@ -398,17 +299,6 @@ def capture_fork_state(donor: _Cell, fork_t: float) -> dict:
     return {"meta": meta, "arrays": arrays}
 
 
-def fork_state_nbytes(state: Mapping[str, Any]) -> int:
-    """Total array payload of a captured fork state, in bytes.
-
-    The number that matters to the data plane: it is what a pool
-    worker would pickle (or place in a shm segment) to move the state
-    across a process boundary, and what the fork-state cache holds
-    resident per entry.
-    """
-    return int(sum(a.nbytes for a in state.get("arrays", {}).values()))
-
-
 def install_fork_state(
     cell: _Cell, state: dict, specs: Sequence[JobSpec]
 ) -> None:
@@ -463,7 +353,7 @@ def install_fork_state(
     np.copyto(sctl.fairshare._usage, arrays["fair_usage"])
     sctl.fairshare._last_decay = _unhx(meta["fair_last_decay"])
 
-    # -- power accounting (row views stay adopted; copy in place) ------------
+    # -- power accounting (copied into the cell's own arrays) ---------------
     sa = sctl.accountant
     np.copyto(sa.state, arrays["acct_state"])
     np.copyto(sa.freq_index, arrays["acct_freq_index"])
@@ -562,13 +452,16 @@ def run_replay_batch(
     platform=None,
     warm_start=None,
 ) -> list[ReplayResult]:
-    """Replay one workload under N cap sets in a single lockstep batch.
+    """Replay one workload under N cap sets, sharing the prefix before
+    any cap can act.
 
     Equivalent to N calls of :func:`repro.sim.replay.run_replay` with
     identical ``machine``/``jobs``/``policy``/``config`` and the i-th
-    cap list — bit for bit, including the trace digest — but sharing
-    one process, one scenario-major node-state matrix, and (when the
-    divergence analysis allows) one replayed pre-window prefix.
+    cap list — bit for bit, including the trace digest — but replaying
+    the pre-window prefix once when the divergence analysis allows.
+    After the fork each cell runs to ``duration`` alone, and its power
+    accountant is cross-checked against a recomputation
+    (:meth:`~repro.cluster.power.PowerAccountant.verify`).
 
     ``warm_start``, when given, is a duck-typed checkpoint adapter
     (see :class:`repro.exp.checkpoints.WarmStart`) with two methods:
@@ -579,24 +472,19 @@ def run_replay_batch(
     of replaying the shared prefix; on a miss the donor's freshly
     computed prefix is published for future runs.  A batch of one cell
     with a warm-start adapter is exactly a solo replay that can skip
-    its prefix.
+    its prefix; without one it is exactly a solo replay.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     if not caps_per_cell:
         raise ValueError("need at least one cell")
-    if isinstance(policy, str):
-        policy = (
-            platform.make_policy(policy, machine.freq_table)
-            if platform is not None
-            else make_policy(policy, machine.freq_table)
-        )
     specs = [s for s in jobs if s.submit_time <= duration]
 
     cells: list[_Cell] = []
     for caps in caps_per_cell:
         engine = SimEngine()
         recorder = MetricsRecorder(machine.freq_table.frequencies)
+        # A string policy resolves inside Controller, as in run_replay.
         controller = Controller(
             machine,
             policy,
@@ -608,9 +496,7 @@ def run_replay_batch(
         )
         cells.append(_Cell(engine, recorder, controller))
 
-    batch = BatchNodeArrays([c.controller.accountant for c in cells])
-
-    slack = _fork_slack(policy, cells[0].controller, specs)
+    slack = _fork_slack(cells[0].controller, specs)
     fork_t = min(
         min(_divergence_onset(c, slack) for c in cells), duration
     )
@@ -622,8 +508,8 @@ def run_replay_batch(
         # Store hit: nobody replays the prefix — every cell (donor
         # included) installs the persisted checkpoint.  The stored
         # horizon may be below this batch's fork_t (a sweep with
-        # earlier windows published it); all reservation boundaries
-        # still lie at or beyond fork_t, so lockstep is unaffected.
+        # earlier windows published it), which only shortens the
+        # shared prefix.
         for cell in cells:
             install_fork_state(cell, state, specs)
     elif fork_t > 0 and (len(cells) > 1 or warm_start is not None):
@@ -639,33 +525,16 @@ def run_replay_batch(
         else:  # pragma: no cover - insurance against future event kinds
             for sib in cells[1:]:
                 _schedule_submissions(sib, specs)
-            fork_t = 0.0
     else:
-        fork_t = 0.0
         for cell in cells:
             _schedule_submissions(cell, specs)
 
-    # Lockstep: advance every cell to each shared window boundary, then
-    # to the end of the replay.  A cell already past a boundary (the
-    # donor after a vetoed fork) treats the slice as a no-op.
-    edges = sorted(
-        {
-            b
-            for cell in cells
-            for b in cell.controller.registry.boundaries()
-            if fork_t < b < duration
-        }
-    )
-    for horizon in edges:
-        for cell in cells:
-            cell.engine.run(until=horizon)
-    for cell in cells:
-        cell.engine.run(until=duration)
-
-    batch.verify()
-
     results = []
     for cell in cells:
+        # The donor resumes at its fork horizon: run(until) continues
+        # exactly where run_before stopped.
+        cell.engine.run(until=duration)
+        cell.controller.accountant.verify()
         cell.recorder.finalize(duration)
         results.append(
             ReplayResult(

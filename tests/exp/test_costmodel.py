@@ -7,6 +7,8 @@ and that the calibration metadata an older store still holds stays
 inert.
 """
 
+import time
+
 import pytest
 
 from repro.exp import (
@@ -116,6 +118,28 @@ class TestElapsedField:
     def test_solo_elapsed_equals_wall(self):
         r = GridRunner().run([TINY])[0]
         assert r.elapsed_seconds == pytest.approx(r.wall_seconds)
+
+    def test_group_cell_walls_do_not_accumulate(self, monkeypatch):
+        # Regression: each cell of a lockstep group also counted the
+        # condensing of the cells before it, so its wall grew with its
+        # position in the group.  Slow every cell's digest by `delay`.
+        from repro.exp import make_backend, runner
+
+        delay = 0.05
+        digest = runner.trace_digest
+
+        def slow_digest(recorder):
+            time.sleep(delay)
+            return digest(recorder)
+
+        monkeypatch.setattr(runner, "trace_digest", slow_digest)
+        cells = [
+            TINY.with_(name=f"tiny-{f}", caps=(CapWindow(1200.0, 2400.0, f),))
+            for f in (0.4, 0.5, 0.6, 0.7)
+        ]
+        with GridRunner(backend=make_backend("batch")) as r:
+            walls = [res.wall_seconds for res in r.run(cells)]
+        assert walls[-1] - walls[0] < 1.5 * delay
 
     def test_from_dict_tolerates_missing_elapsed(self):
         r = GridRunner().run([TINY])[0]

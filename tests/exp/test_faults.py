@@ -428,13 +428,18 @@ class TestBatchChaos:
     def test_batch_replay_failure_degrades_to_solo(self, golden, monkeypatch):
         import repro.sim.batch as batch_mod
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("lockstep replay exploded")
+        real = batch_mod.run_replay_batch
+
+        def boom(*args, caps_per_cell, **kwargs):
+            # Solo re-runs are batches of one: only the group explodes.
+            if len(caps_per_cell) > 1:
+                raise RuntimeError("lockstep replay exploded")
+            return real(*args, caps_per_cell=caps_per_cell, **kwargs)
 
         monkeypatch.setattr(batch_mod, "run_replay_batch", boom)
         with GridRunner(backend=BatchBackend()) as r:
             report = r.sweep([TINY_CAP60, TINY_CAP40, TINY_CAP80])
-        assert report.ok
+        assert report.ok and report.groups["n_degraded_groups"] == 1
         assert {x.scenario.name: x.trace_digest for x in report.results} == {
             n: golden[n] for n in ("tiny-cap60", "tiny-cap40", "tiny-cap80")
         }

@@ -280,15 +280,6 @@ class TestDataPlaneEndToEnd:
                 == stores["off"].get(key).trace_digest
             )
 
-    def test_fork_state_nbytes(self):
-        from repro.sim.batch import fork_state_nbytes
-
-        state = {"meta": {}, "arrays": _payload()}
-        assert fork_state_nbytes(state) == sum(
-            a.nbytes for a in state["arrays"].values()
-        )
-        assert fork_state_nbytes({"meta": {}}) == 0
-
 
 @needs_shm
 class TestCrashCleanup:

@@ -92,12 +92,9 @@ def reference_sched_pass(self: Controller) -> None:
         else PowercapView(ReservationRegistry(0), self.accountant, now, ())
     )
     window = None
-    decide_cache = {}
     for jid in self.queue.order(now, limit=self.config.backfill_depth)[0]:
         job = self.queue.job(int(jid))
-        started = self._try_start(
-            job, now, view, alloc, pending_sds, window, decide_cache
-        )
+        started = self._try_start(job, now, view, alloc, pending_sds, window)
         if not started and window is None:
             window = easy_backfill_window(
                 job.n_nodes,

@@ -1,21 +1,18 @@
-"""Batched lockstep replays: bit-identity against solo replays.
+"""Batched replays: bit-identity against solo replays.
 
 The batch engine promises *equivalence, not approximation*: replaying N
-cap schedules of one workload in lockstep — with or without a
-checkpointed warm start — must reproduce each solo replay's trace
-digest byte for byte.  These tests pin that contract on both fork
-paths (warm-start and fallback) and on the golden scenario.
+cap schedules of one workload in one batch — forked from one donor's
+shared prefix, or each cell from t=0 — must reproduce each solo
+replay's trace digest byte for byte.  These tests pin that contract on
+both paths (fork and fallback) and on the golden scenario.
 """
 
-import numpy as np
 import pytest
 
 from repro.exp import CapWindow, Scenario, trace_digest
 from repro.platform import get_platform
-from repro.rjms.controller import Controller
-from repro.sim.batch import BatchNodeArrays, run_replay_batch
-from repro.sim.engine import SimEngine
-from repro.sim.metrics import MetricsRecorder
+from repro.sim import batch as batch_mod
+from repro.sim.batch import run_replay_batch
 from repro.sim.replay import run_replay
 
 HOUR = 3600.0
@@ -72,7 +69,7 @@ class TestBitIdentity:
         "policy,fracs",
         [
             # IDLE: single-frequency selector, no shutdowns — takes the
-            # checkpointed warm-start path.
+            # fork path.
             ("IDLE", [0.4, 0.6, 0.8]),
             # DVFS: the frequency ladder's soft decisions pull the
             # divergence onset below zero — exercises the fallback.
@@ -82,11 +79,23 @@ class TestBitIdentity:
             # NONE ignores caps entirely: every cell is one replay, so
             # the warm start covers the whole duration.
             ("NONE", [0.4, 0.6]),
+            # IDLE reversed: a different donor forks the same siblings.
+            ("IDLE", [0.8, 0.6, 0.4]),
         ],
     )
-    def test_batch_matches_solo_digests(self, policy, fracs):
+    def test_batch_matches_solo_digests(self, policy, fracs, monkeypatch):
+        forked = []
+        install = batch_mod.install_fork_state
+
+        def counted_install(cell, state, specs):
+            forked.append(cell)
+            install(cell, state, specs)
+
+        monkeypatch.setattr(batch_mod, "install_fork_state", counted_install)
         cells, batch = _run_batch(policy, fracs)
         assert len(batch) == len(cells)
+        # Every sibling forks from the donor, or none does (fallback).
+        assert len(forked) == (len(cells) - 1 if policy in ("IDLE", "NONE") else 0)
         for sc, res in zip(cells, batch):
             solo = _run_solo(sc)
             assert trace_digest(res.recorder) == trace_digest(solo.recorder)
@@ -113,49 +122,3 @@ class TestBitIdentity:
             run_replay_batch(
                 machine, jobs, pol, duration=0.0, caps_per_cell=[[]]
             )
-
-
-class TestBatchNodeArrays:
-    def _accountants(self, n, scale=1 / 56):
-        base = BASE.with_(scale=scale)
-        machine = base.build_machine()
-        pol = base.build_policy(machine)
-        return [
-            Controller(
-                machine,
-                pol,
-                SimEngine(),
-                recorder=MetricsRecorder(machine.freq_table.frequencies),
-            ).accountant
-            for _ in range(n)
-        ]
-
-    def test_adoption_rehomes_rows(self):
-        accts = self._accountants(3)
-        batch = BatchNodeArrays(accts)
-        assert batch.state.shape == (3, accts[0].topology.n_nodes)
-        for row, acct in enumerate(accts):
-            assert acct.state.base is batch.state
-            assert acct.freq_index.base is batch.freq_index
-            assert np.shares_memory(acct._node_watts, batch.node_watts[row])
-        batch.verify()
-
-    def test_readouts_match_accountants(self):
-        accts = self._accountants(2)
-        batch = BatchNodeArrays(accts)
-        expect = np.array([a._node_watts.sum() for a in accts])
-        assert np.array_equal(batch.total_node_watts(), expect)
-        assert np.array_equal(
-            batch.total_power(), [a.total_power() for a in accts]
-        )
-        assert np.array_equal(
-            batch.busy_nodes(), [a.busy_count_by_freq.sum() for a in accts]
-        )
-
-    def test_rejects_empty_and_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            BatchNodeArrays([])
-        small = self._accountants(1)
-        big = self._accountants(1, scale=2 / 56)
-        with pytest.raises(ValueError):
-            BatchNodeArrays(small + big)

@@ -187,6 +187,28 @@ class TestFaultTolerance:
         code, out = run_cli(capsys, "exp", "failures", "--cache-dir", str(tmp_path))
         assert code == 0 and "no failure records" in out
 
+    def test_plan_leaves_out_known_failures_under_skip(self, capsys, tmp_path):
+        # Regression: --plan placed a cell with a persisted failure
+        # record that the sweep under --on-error skip does not run.
+        base = [
+            "exp", "run", "--scenario", "medianjob-track-60",
+            "--backend", "serial", "--cache-dir", str(tmp_path),
+            *TINY_NAMED,
+        ]
+        code, _ = run_cli(
+            capsys, *base, "--inject-faults", "seed:1:1.0:*",
+            "--max-retries", "1", "--on-error", "quarantine",
+        )
+        assert code == 0
+        code, out = run_cli(capsys, *base, "--workers", "2", "--plan")
+        assert code == 0 and "1 unit(s), 1 cell(s)" in out  # re-attempted
+        code, out = run_cli(
+            capsys, *base, "--workers", "2", "--plan", "--on-error", "skip"
+        )
+        assert code == 0 and "0 unit(s), 0 cell(s)" in out
+        code, out = run_cli(capsys, *base, "--on-error", "skip")
+        assert code == 0 and "1 skipped (known failures)" in out
+
     def test_bad_fault_spec_exits(self, capsys):
         with pytest.raises(SystemExit, match="error:"):
             main([
