@@ -11,9 +11,11 @@ compares the means against the committed baselines (``BENCH_pr2.json``
 for the engine cases, ``BENCH_pr4.json`` for the backend cases,
 ``BENCH_pr6.json`` for the batched-lockstep cap-sweep cases,
 ``BENCH_pr9.json`` for the multigroup batch-pool pair,
-``BENCH_pr10.json`` for the transfer data-plane cases; >2x regression
-fails the job).  ``benchmarks/check_data_plane.py`` additionally holds
-the shm-vs-pickle transfer ratio and the batch-pool-vs-floor ratio.
+``BENCH_pr10.json`` for the transfer data-plane cases,
+``BENCH_pr23.json`` for the per-cell paths of a forked cap sweep; >2x
+regression fails the job).  ``benchmarks/check_data_plane.py``
+additionally holds the shm-vs-pickle transfer ratio and the
+batch-pool-vs-floor ratio.
 """
 
 import math
@@ -401,6 +403,103 @@ def test_perf_cap_sweep_warm(benchmark, tmp_path):
 
     results = benchmark.pedantic(sweep, rounds=2, iterations=1)
     assert len(results) == len(cells)
+
+
+# -- per-cell paths of a forked cap sweep ------------------------------------------------
+#
+# Each cell of a forked cap sweep installs the shared prefix once
+# (``install_fork_state``) and is condensed into its trace digest once.
+# The shape is one cell of the end-to-end ``cap-sweep`` workload: 1/8
+# Curie, SHUT, a 16-minute window near the end of a 2 h replay, about
+# 1,000 jobs at the fork.  BENCH_pr23.json records both.
+
+
+def _sweep_cell():
+    from repro.exp import CapWindow, Scenario
+
+    return Scenario(
+        name="bench-cell",
+        interval="medianjob",
+        policy="SHUT",
+        scale=0.125,
+        duration=7200.0,
+        seed=5,
+        config={"reservation_drain_horizon": 0.0},
+        caps=(CapWindow(5760.0, 6720.0, 0.30),),
+    )
+
+
+def test_perf_trace_digest(benchmark):
+    """Condensing one cell's recorder (over a thousand samples and jobs,
+    several digest chunks of each) into its trace digest."""
+    from repro.exp.runner import _DIGEST_CHUNK, replay_scenario, trace_digest
+
+    rec = replay_scenario(_sweep_cell()).recorder
+    assert min(rec.n_samples, len(rec.jobs)) > 1000 > 2 * _DIGEST_CHUNK
+    expected = trace_digest(rec)
+    assert benchmark(trace_digest, rec) == expected
+
+
+class _KeepPublished:
+    """A warm-start adapter that never hits and keeps what is published."""
+
+    state = None
+
+    def load(self, max_horizon):
+        return None
+
+    def publish(self, horizon, state):
+        self.state = state
+
+
+def test_perf_install_fork_state(benchmark):
+    """Installing one cell's captured prefix into a freshly built cell
+    (the construction is untimed setup)."""
+    from repro.platform import get_platform
+    from repro.sim import batch
+
+    sc = _sweep_cell()
+    machine = sc.build_machine()
+    jobs = sc.build_jobs(machine)
+    policy = sc.build_policy(machine)
+    config = sc.build_config()
+    caps = sc.build_caps(machine)
+    platform = get_platform(sc.platform)
+    duration = sc.effective_duration
+    keep = _KeepPublished()
+    batch.run_replay_batch(
+        machine,
+        jobs,
+        policy,
+        duration=duration,
+        caps_per_cell=[caps],
+        config=config,
+        platform=platform,
+        warm_start=keep,
+    )
+    assert keep.state is not None
+    specs = [s for s in jobs if s.submit_time <= duration]
+    last = []
+
+    def fresh_cell():
+        engine = SimEngine()
+        recorder = MetricsRecorder(machine.freq_table.frequencies)
+        controller = Controller(
+            machine,
+            policy,
+            engine,
+            config=config,
+            powercaps=list(caps),
+            recorder=recorder,
+            platform=platform,
+        )
+        last[:] = [batch._Cell(engine, recorder, controller)]
+        return (last[0], keep.state, specs), {}
+
+    benchmark.pedantic(
+        batch.install_fork_state, setup=fresh_cell, rounds=100, iterations=1
+    )
+    assert len(last[0].controller.jobs) > 1000
 
 
 # -- batch x pool composition --------------------------------------------------------

@@ -20,8 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.frequency import FrequencyTable
-from repro.cluster.states import NodeState
+from repro.cluster.states import N_NODE_STATES, NodeState
 from repro.cluster.topology import Topology
+
+# The states as plain ints for the hot path: comparing a NumPy array
+# with an IntEnum member makes NumPy look the member up for array
+# dunders on every call, which costs more than the comparison itself.
+_OFF = int(NodeState.OFF)
+_IDLE = int(NodeState.IDLE)
+_BUSY = int(NodeState.BUSY)
+_BOOTING = int(NodeState.BOOTING)
+_SHUTTING_DOWN = int(NodeState.SHUTTING_DOWN)
 
 
 @dataclass
@@ -124,14 +133,17 @@ class PowerAccountant:
     def _watts_for(self, state: int, freq_index: np.ndarray | int) -> np.ndarray | float:
         """Node watts (BMC-on convention) for a state/frequency."""
         ft = self.freq_table
-        if state == NodeState.BUSY:
+        if state == _BUSY:
             return ft.watts_array[freq_index]
-        return {
-            NodeState.OFF: ft.down_watts,
-            NodeState.IDLE: ft.idle_watts,
-            NodeState.BOOTING: self.boot_watts,
-            NodeState.SHUTTING_DOWN: self.shutdown_watts,
-        }[NodeState(state)]
+        if state == _IDLE:
+            return ft.idle_watts
+        if state == _OFF:
+            return ft.down_watts
+        if state == _BOOTING:
+            return self.boot_watts
+        if state == _SHUTTING_DOWN:
+            return self.shutdown_watts
+        raise ValueError(f"{state!r} is not a valid NodeState")
 
     def set_state(
         self,
@@ -147,38 +159,39 @@ class PowerAccountant:
         ids = np.asarray(node_ids, dtype=np.int64)
         if ids.size == 0:
             return
-        if state == NodeState.BUSY and freq_index is None:
+        state = int(state)
+        if state == _BUSY and freq_index is None:
             raise ValueError("freq_index is required when setting nodes BUSY")
+        new_watts = self._watts_for(state, freq_index)
         self.version += 1
 
         old_states = self.state[ids]
         old_watts = self._node_watts[ids]
+        # One histogram of the old states serves the per-state counts,
+        # the busy check and both darkness checks.
+        old_counts = np.bincount(old_states, minlength=N_NODE_STATES)
 
         # Book-keeping for busy-by-frequency counts.
-        busy_mask = old_states == NodeState.BUSY
-        if busy_mask.any():
-            np.subtract.at(
-                self.busy_count_by_freq, self.freq_index[ids[busy_mask]], 1
+        if old_counts[_BUSY]:
+            self.busy_count_by_freq -= np.bincount(
+                self.freq_index[ids[old_states == _BUSY]],
+                minlength=len(self.busy_count_by_freq),
             )
-        np.subtract.at(self.count_by_state, old_states, 1)
+        self.count_by_state -= old_counts
 
         # Enclosure darkness tracking: nodes leaving/entering OFF.
-        was_off = old_states == NodeState.OFF
-        becomes_off = state == NodeState.OFF
-        if was_off.any() and not becomes_off:
-            self._update_darkness(ids[was_off], delta=-1)
-        if becomes_off and (~was_off).any():
-            self._update_darkness(ids[~was_off], delta=+1)
+        n_was_off = old_counts[_OFF]
+        if state != _OFF:
+            if n_was_off:
+                self._update_darkness(ids[old_states == _OFF], delta=-1)
+        elif n_was_off < ids.size:
+            self._update_darkness(ids[old_states != _OFF], delta=+1)
 
         # Apply the new state.
         self.state[ids] = state
-        if state == NodeState.BUSY:
-            assert freq_index is not None
+        if state == _BUSY:
             self.freq_index[ids] = freq_index
-            new_watts = self.freq_table.watts_array[freq_index]
             self.busy_count_by_freq[freq_index] += ids.size
-        else:
-            new_watts = self._watts_for(state, 0)
         self.count_by_state[state] += ids.size
 
         self._node_watts[ids] = new_watts

@@ -28,11 +28,13 @@ requesting cell's own divergence onset.
 
 * ``<key>.json`` — ``{"schema": CHECKPOINT_SCHEMA, "group": ...,
   "horizon": <hexfloat>, "meta": <fork-state meta>}``.  The fork-state
-  meta is pure JSON with every float rendered via ``float.hex()``
-  (bit-exact round trip, including ``-inf``); its own ``version``
-  field is :data:`repro.sim.batch.FORK_STATE_VERSION`.
+  meta holds scalars only, every float rendered via ``float.hex()``
+  (bit-exact round trip, including ``-inf``), so it stays small
+  whatever the workload; its own ``version`` field is
+  :data:`repro.sim.batch.FORK_STATE_VERSION`.
 * ``<key>.npz`` — the fork state's numpy arrays (node/power state,
-  fair-share usage, the columnar metrics prefix, job allocations).
+  fair-share usage, the columnar metrics prefix, and the job tables
+  as typed columns).
 
 The ``.npz`` is written first and the JSON second, so the JSON is the
 commit point: a torn pair is either invisible (orphan ``.npz``) or

@@ -103,6 +103,10 @@ from repro.workload.spec import JobSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.platform.spec import PlatformSpec
 
+#: IDLE as a plain int: NumPy compares the state vector with it directly,
+#: where an IntEnum member costs a dunder lookup per comparison
+_IDLE = int(NodeState.IDLE)
+
 
 class _PassAllocator:
     """Node allocation bookkeeping for one scheduling pass.
@@ -494,7 +498,7 @@ class Controller:
         """Idle node ids, rescanned only when the accountant changed."""
         acct = self.accountant
         if self._free_version != acct.version:
-            self._free_ids = np.flatnonzero(acct.state == NodeState.IDLE)
+            self._free_ids = np.flatnonzero(acct.state == _IDLE)
             self._free_version = acct.version
         return self._free_ids
 

@@ -161,28 +161,3 @@ class ReservationRegistry:
 
     def shutdowns_overlapping(self, t0: float, t1: float) -> list[ShutdownReservation]:
         return [s for s in self._shutdowns if s.overlaps(t0, t1)]
-
-    def shutdown_node_mask(self, t0: float, t1: float) -> np.ndarray:
-        """Boolean mask of nodes unavailable to a job spanning ``[t0, t1)``.
-
-        A job may not be placed on a node whose shutdown window
-        overlaps the job's expected execution interval.
-        """
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        for sd in self._shutdowns:
-            if sd.overlaps(t0, t1):
-                mask[sd.nodes] = True
-        return mask
-
-    def boundaries(self) -> list[float]:
-        """All window edges (for event scheduling), ascending, deduplicated."""
-        edges: set[float] = set()
-        for c in self._powercaps:
-            edges.add(c.start)
-            if math.isfinite(c.end):
-                edges.add(c.end)
-        for s in self._shutdowns:
-            edges.add(s.start)
-            if math.isfinite(s.end):
-                edges.add(s.end)
-        return sorted(edges)

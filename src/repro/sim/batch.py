@@ -62,7 +62,7 @@ __all__ = [
 #: version of the fork-state layout below; bumped whenever the captured
 #: field set changes, so persisted checkpoints from older layouts are
 #: rejected instead of misinstalled
-FORK_STATE_VERSION = 1
+FORK_STATE_VERSION = 2
 
 #: event kinds a donor may have pending at a checkpoint; anything else
 #: (in-flight node transitions, foreign timers) vetoes the warm start
@@ -155,29 +155,57 @@ def _checkpoint_safe(donor: _Cell) -> bool:
 
 # -- fork-state serialisation ------------------------------------------------------
 #
-# The captured state is a two-part structure: ``meta`` is pure JSON
-# (every float rendered through ``float.hex()`` so parsing it back is
-# bit-exact, including ``inf``/``-inf``), ``arrays`` is a dict of numpy
-# arrays.  The split matches the persisted artifact layout of
-# :mod:`repro.exp.checkpoints` — a ``.json`` file plus an ``.npz`` —
-# so the in-memory fork and a store-restored warm start install the
-# exact same representation through the exact same code path.
+# The captured state is a two-part structure.  ``meta`` holds scalars
+# only, every float rendered through ``float.hex()`` so parsing it back
+# is bit-exact (including ``inf``/``-inf``); its size does not grow
+# with the workload.  ``arrays`` is a dict of typed numpy columns: the
+# node/power state, the fair-share usage, the columnar metrics prefix
+# and the job tables — one row per controller job and per recorder job,
+# plus the running, rejected and queued ids and the pending
+# completions.  In the job tables ids, node counts and frequency
+# indices are int64 with -1 for ``None``; times, frequencies and
+# degradations are float64 with NaN for ``None`` (no captured value can
+# be NaN: every time comes from the engine clock, which refuses
+# non-finite times, and every frequency from the frequency table); a
+# state is its int8 index in :data:`_JOB_STATES`.  The split matches
+# the persisted artifact layout of :mod:`repro.exp.checkpoints` — a
+# ``.json`` file plus an ``.npz`` — so the in-memory fork and a
+# store-restored warm start install the exact same representation
+# through the exact same code path.
+
+#: job states in code order; a recorder's job state is a state's value
+_JOB_STATES = tuple(JobState)
+_JOB_STATE_CODE = {state: code for code, state in enumerate(_JOB_STATES)}
+_REC_STATES = tuple(state.value for state in _JOB_STATES)
+_REC_STATE_CODE = {state: code for code, state in enumerate(_REC_STATES)}
 
 
 def _hx(x: float) -> str:
     return float(x).hex()
 
 
-def _hx_opt(x: float | None) -> str | None:
-    return None if x is None else float(x).hex()
-
-
 def _unhx(s: str) -> float:
     return float.fromhex(s)
 
 
-def _unhx_opt(s: str | None) -> float | None:
-    return None if s is None else float.fromhex(s)
+def _ints(values) -> np.ndarray:
+    """An int64 column; ``None`` becomes -1."""
+    return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+
+
+def _floats(values) -> np.ndarray:
+    """A float64 column; ``None`` becomes NaN."""
+    return np.array(
+        [math.nan if v is None else v for v in values], dtype=np.float64
+    )
+
+
+def _opt_ints(column: np.ndarray) -> list[int | None]:
+    return [None if v < 0 else v for v in column.tolist()]
+
+
+def _opt_floats(column: np.ndarray) -> list[float | None]:
+    return [None if v != v else v for v in column.tolist()]
 
 
 def capture_fork_state(donor: _Cell, fork_t: float) -> dict:
@@ -191,46 +219,18 @@ def capture_fork_state(donor: _Cell, fork_t: float) -> dict:
     controller caches, the columnar metrics prefix, and the pending
     completion/scheduling events.  All orderings that carry tie-break
     meaning (job-table insertion, queue rows, completion seq order)
-    are preserved as explicit lists.
+    are preserved as row order.
     """
     ctl = donor.controller
     eng = donor.engine
     rec = donor.recorder
     acct = ctl.accountant
 
-    jobs_meta = []
-    node_chunks = []
-    for jid, job in ctl.jobs.items():
-        jobs_meta.append(
-            {
-                "id": int(jid),
-                "n_nodes": int(job.n_nodes),
-                "state": job.state.value,
-                "n_alloc": -1 if job.nodes is None else int(len(job.nodes)),
-                "freq_index": None if job.freq_index is None else int(job.freq_index),
-                "freq_ghz": _hx_opt(job.freq_ghz),
-                "degradation": _hx(job.degradation),
-                "start_time": _hx_opt(job.start_time),
-                "end_time": _hx_opt(job.end_time),
-            }
-        )
-        if job.nodes is not None:
-            node_chunks.append(np.asarray(job.nodes, dtype=np.int64))
-
-    rec_jobs = [
-        {
-            "id": int(jid),
-            "cores": int(r.cores),
-            "n_nodes": int(r.n_nodes),
-            "submit_time": _hx(r.submit_time),
-            "start_time": _hx_opt(r.start_time),
-            "end_time": _hx_opt(r.end_time),
-            "freq_ghz": _hx_opt(r.freq_ghz),
-            "degradation": _hx(r.degradation),
-            "state": r.state,
-        }
-        for jid, r in rec.jobs.items()
+    jobs = list(ctl.jobs.values())
+    node_chunks = [
+        np.asarray(job.nodes, dtype=np.int64) for job in jobs if job.nodes is not None
     ]
+    rec_jobs = list(rec.jobs.values())
 
     pass_time = None
     if ctl._pass_pending:
@@ -241,6 +241,9 @@ def capture_fork_state(donor: _Cell, fork_t: float) -> dict:
                 if ev.kind == EventKind.SCHED_PASS and not ev.cancelled
             )
         )
+    # Completions in donor creation order (seq order within JOB_END),
+    # so same-instant completions replay in tie order.
+    ends = sorted(ctl._end_events.items(), key=lambda kv: kv[1].seq)
 
     dq = ctl.queue
     meta = {
@@ -248,29 +251,14 @@ def capture_fork_state(donor: _Cell, fork_t: float) -> dict:
         "horizon": _hx(fork_t),
         "now": _hx(eng._now),
         "processed": int(eng._processed),
-        "jobs": jobs_meta,
-        "running": [int(jid) for jid in ctl.running],
-        "rejected": [int(jid) for jid in ctl.rejected],
-        "queue": [int(dq._ids[row]) for row in range(dq._n)],
         "fair_last_decay": _hx(ctl.fairshare._last_decay),
-        "acct": {
-            "node_watts_sum": _hx(acct._node_watts_sum),
-            "n_dark_chassis": int(acct._n_dark_chassis),
-            "n_dark_racks": int(acct._n_dark_racks),
-            "version": int(acct.version),
-        },
+        "acct_node_watts_sum": _hx(acct._node_watts_sum),
+        "acct_n_dark_chassis": int(acct._n_dark_chassis),
+        "acct_n_dark_racks": int(acct._n_dark_racks),
+        "acct_version": int(acct.version),
         "last_pass": _hx(ctl._last_pass),
         "pass_time": pass_time,
-        # Completions in donor creation order (seq order within
-        # JOB_END), so same-instant completions replay in tie order.
-        "end_events": [
-            [int(jid), _hx(ev.time)]
-            for jid, ev in sorted(
-                ctl._end_events.items(), key=lambda kv: kv[1].seq
-            )
-        ],
         "rec_n": int(rec._n),
-        "rec_jobs": rec_jobs,
         "launch_sorted": bool(rec._launch_sorted),
         "completion_sorted": bool(rec._completion_sorted),
     }
@@ -290,10 +278,41 @@ def capture_fork_state(donor: _Cell, fork_t: float) -> dict:
         "rec_scal": rec._scal[:n].copy(),
         "launch_times": np.asarray(rec._launch_times, dtype=np.float64),
         "completion_times": np.asarray(rec._completion_times, dtype=np.float64),
+        # controller jobs, in job-table insertion order
+        "job_id": _ints(ctl.jobs),
+        "job_n_nodes": _ints([job.n_nodes for job in jobs]),
+        "job_state": np.array(
+            [_JOB_STATE_CODE[job.state] for job in jobs], dtype=np.int8
+        ),
+        "job_n_alloc": _ints(
+            [None if job.nodes is None else len(job.nodes) for job in jobs]
+        ),
+        "job_freq_index": _ints([job.freq_index for job in jobs]),
+        "job_freq_ghz": _floats([job.freq_ghz for job in jobs]),
+        "job_degradation": _floats([job.degradation for job in jobs]),
+        "job_start_time": _floats([job.start_time for job in jobs]),
+        "job_end_time": _floats([job.end_time for job in jobs]),
         "job_nodes": (
             np.concatenate(node_chunks)
             if node_chunks
             else np.empty(0, dtype=np.int64)
+        ),
+        "running": _ints(ctl.running),
+        "rejected": _ints(ctl.rejected),
+        "queue": dq._ids[: dq._n].copy(),
+        "end_job_id": _ints([jid for jid, _ in ends]),
+        "end_time": _floats([ev.time for _, ev in ends]),
+        # recorder jobs, in recording order
+        "rec_job_id": _ints(rec.jobs),
+        "rec_job_cores": _ints([r.cores for r in rec_jobs]),
+        "rec_job_n_nodes": _ints([r.n_nodes for r in rec_jobs]),
+        "rec_job_submit_time": _floats([r.submit_time for r in rec_jobs]),
+        "rec_job_start_time": _floats([r.start_time for r in rec_jobs]),
+        "rec_job_end_time": _floats([r.end_time for r in rec_jobs]),
+        "rec_job_freq_ghz": _floats([r.freq_ghz for r in rec_jobs]),
+        "rec_job_degradation": _floats([r.degradation for r in rec_jobs]),
+        "rec_job_state": np.array(
+            [_REC_STATE_CODE[r.state] for r in rec_jobs], dtype=np.int8
         ),
     }
     return {"meta": meta, "arrays": arrays}
@@ -323,30 +342,48 @@ def install_fork_state(
     sr = cell.recorder
 
     # -- job objects (shared per-cell copy map: running/jobs/queue alias) ----
+    # Every table keys on the spec's own id object, as a replay's tables
+    # do: the cells of a sweep share their id ints instead of each
+    # holding fresh ones.
     spec_by_id = {s.job_id: s for s in specs}
     nodes_flat = np.asarray(arrays["job_nodes"], dtype=np.int64)
     pos = 0
     jobmap: dict[int, Job] = {}
-    for jm in meta["jobs"]:
-        job = Job(spec=spec_by_id[jm["id"]], n_nodes=jm["n_nodes"])
-        job.state = JobState(jm["state"])
-        n_alloc = jm["n_alloc"]
+    for jid, n_nodes, code, n_alloc, freq_index, ghz, deg, start, end in zip(
+        arrays["job_id"].tolist(),
+        arrays["job_n_nodes"].tolist(),
+        arrays["job_state"].tolist(),
+        arrays["job_n_alloc"].tolist(),
+        _opt_ints(arrays["job_freq_index"]),
+        _opt_floats(arrays["job_freq_ghz"]),
+        arrays["job_degradation"].tolist(),
+        _opt_floats(arrays["job_start_time"]),
+        _opt_floats(arrays["job_end_time"]),
+    ):
+        spec = spec_by_id[jid]
+        nodes = None
         if n_alloc >= 0:
-            job.nodes = nodes_flat[pos : pos + n_alloc].copy()
+            nodes = nodes_flat[pos : pos + n_alloc].copy()
             pos += n_alloc
-        job.freq_index = jm["freq_index"]
-        job.freq_ghz = _unhx_opt(jm["freq_ghz"])
-        job.degradation = _unhx(jm["degradation"])
-        job.start_time = _unhx_opt(jm["start_time"])
-        job.end_time = _unhx_opt(jm["end_time"])
-        jobmap[jm["id"]] = job
+        jobmap[spec.job_id] = Job(
+            spec,
+            n_nodes,
+            _JOB_STATES[code],
+            nodes,
+            freq_index,
+            ghz,
+            deg,
+            start,
+            end,
+        )
     sctl.jobs = dict(jobmap)
-    sctl.running = {jid: jobmap[jid] for jid in meta["running"]}
-    sctl.rejected = list(meta["rejected"])
+    running = [jobmap[jid] for jid in arrays["running"].tolist()]
+    sctl.running = {job.job_id: job for job in running}
+    sctl.rejected = arrays["rejected"].tolist()
 
     # -- pending queue: re-add in donor row order reproduces the exact
     #    swap-remove layout (and therefore every later ordering)
-    for jid in meta["queue"]:
+    for jid in arrays["queue"].tolist():
         sctl.queue.add(jobmap[jid])
 
     # -- fair-share decay chain ---------------------------------------------
@@ -362,11 +399,10 @@ def install_fork_state(
     np.copyto(sa._dark_per_rack, arrays["acct_dark_per_rack"])
     np.copyto(sa.busy_count_by_freq, arrays["acct_busy_count_by_freq"])
     np.copyto(sa.count_by_state, arrays["acct_count_by_state"])
-    am = meta["acct"]
-    sa._node_watts_sum = _unhx(am["node_watts_sum"])
-    sa._n_dark_chassis = am["n_dark_chassis"]
-    sa._n_dark_racks = am["n_dark_racks"]
-    sa.version = am["version"]
+    sa._node_watts_sum = _unhx(meta["acct_node_watts_sum"])
+    sa._n_dark_chassis = meta["acct_n_dark_chassis"]
+    sa._n_dark_racks = meta["acct_n_dark_racks"]
+    sa.version = meta["acct_version"]
 
     # -- controller scalars and caches --------------------------------------
     np.copyto(sctl._cores_by_freq, arrays["cores_by_freq"])
@@ -374,7 +410,7 @@ def install_fork_state(
     sctl._free_version = -1
     sctl._mask_key = None
     # The running-job index is derived state: rebuilt here, not stored
-    # (a "running_version" key written by older captures is ignored).
+    # (a "running_version" meta key is ignored).
     sctl._reindex_running()
 
     # -- metrics prefix ------------------------------------------------------
@@ -388,30 +424,33 @@ def install_fork_state(
     scal[:n] = arrays["rec_scal"]
     sr._t, sr._cbf, sr._scal = t, cbf, scal
     sr._n = n
+    # JobRecord fields, positionally: id, cores, n_nodes, submit, start,
+    # end, frequency, degradation, state
     sr.jobs = {
-        rj["id"]: JobRecord(
-            job_id=rj["id"],
-            cores=rj["cores"],
-            n_nodes=rj["n_nodes"],
-            submit_time=_unhx(rj["submit_time"]),
-            start_time=_unhx_opt(rj["start_time"]),
-            end_time=_unhx_opt(rj["end_time"]),
-            freq_ghz=_unhx_opt(rj["freq_ghz"]),
-            degradation=_unhx(rj["degradation"]),
-            state=rj["state"],
+        row[0]: JobRecord(*row)
+        for row in zip(
+            [spec_by_id[jid].job_id for jid in arrays["rec_job_id"].tolist()],
+            arrays["rec_job_cores"].tolist(),
+            arrays["rec_job_n_nodes"].tolist(),
+            arrays["rec_job_submit_time"].tolist(),
+            _opt_floats(arrays["rec_job_start_time"]),
+            _opt_floats(arrays["rec_job_end_time"]),
+            _opt_floats(arrays["rec_job_freq_ghz"]),
+            arrays["rec_job_degradation"].tolist(),
+            [_REC_STATES[code] for code in arrays["rec_job_state"].tolist()],
         )
-        for rj in meta["rec_jobs"]
     }
-    sr._launch_times = [float(x) for x in arrays["launch_times"]]
+    sr._launch_times = arrays["launch_times"].tolist()
     sr._launch_sorted = bool(meta["launch_sorted"])
-    sr._completion_times = [float(x) for x in arrays["completion_times"]]
+    sr._completion_times = arrays["completion_times"].tolist()
     sr._completion_sorted = bool(meta["completion_sorted"])
 
     # -- pending events ------------------------------------------------------
-    for jid, time_hex in meta["end_events"]:
-        sctl._end_events[jid] = cell.engine.at(
-            _unhx(time_hex),
-            lambda j=jobmap[jid]: sctl._on_job_end(j),
+    for jid, end in zip(arrays["end_job_id"].tolist(), arrays["end_time"].tolist()):
+        job = jobmap[jid]
+        sctl._end_events[job.job_id] = cell.engine.at(
+            end,
+            lambda j=job: sctl._on_job_end(j),
             kind=EventKind.JOB_END,
         )
     if meta["pass_time"] is not None:

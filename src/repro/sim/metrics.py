@@ -19,8 +19,9 @@ are vectorised ``searchsorted``/``diff`` expressions.  The integrals
 accumulate with ``cumsum`` (strictly sequential, like the scalar
 running total the original per-sample implementation used), so every
 metric is bit-identical to the historical list-of-dataclasses
-recorder; :class:`SeriesSample` survives as a thin row view for the
-trace digest, the analysis layer, and the tests.
+recorder.  The trace digest reads the columns themselves
+(:meth:`MetricsRecorder.sample_columns`); :class:`SeriesSample`
+survives as a thin row view for the tests.
 """
 
 from __future__ import annotations
@@ -380,12 +381,23 @@ class MetricsRecorder:
         view.flags.writeable = False
         return view
 
+    def sample_columns(self) -> list[np.ndarray]:
+        """The recorded samples field by field, in :class:`SeriesSample`
+        order: ``time``, one ``cores_by_freq`` column per frequency,
+        then ``off_cores`` and the power, idle, down, infra, bonus and
+        busy watts.  Read-only views, in time order."""
+        n = self._n
+        columns = [self._t[:n], *self._cbf[:n].T, *self._scal[:n].T]
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
     @property
     def samples(self) -> tuple[SeriesSample, ...]:
         """The recorded step-function samples, in time order.
 
         A materialised row view over the columnar store, kept for the
-        trace digest, the analysis layer, and the invariant tests.
+        invariant tests.
         """
         t = self._t
         cbf = self._cbf

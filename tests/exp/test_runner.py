@@ -1,5 +1,6 @@
 """GridRunner mechanics: caching, deduplication, aggregation, CLI."""
 
+import gc
 import json
 import math
 
@@ -71,6 +72,40 @@ class TestRunResult:
     def test_digest_shape(self, tiny_result):
         assert len(tiny_result.trace_digest) == 64
         assert tiny_result.n_samples > 0 and tiny_result.n_events > 0
+
+
+class TestGroupTask:
+    def test_a_group_task_frees_its_cells(self):
+        """A pool worker's group task collects its cells' cyclic
+        garbage before returning, so it cannot pile up under the
+        worker's next unit."""
+        from repro.exp import shm
+        from repro.exp.runner import _run_group_task
+        from repro.platform import get_platform
+        from repro.rjms.controller import Controller
+
+        def live_controllers():
+            return sum(isinstance(o, Controller) for o in gc.get_objects())
+
+        cells = [
+            TINY.with_(name=f"tiny-{f}", caps=(CapWindow(0.5 * HOUR, HOUR, f),))
+            for f in (0.5, 0.7)
+        ]
+        gc.collect()
+        before = live_controllers()
+        gc.disable()
+        try:
+            counts, payloads = _run_group_task(
+                shm.GroupEnvelope.pack(cells),
+                platforms=(get_platform(TINY.platform).to_dict(),),
+                attempt=1,
+                series=False,
+                grid_dt=0.0,
+            )
+            assert live_controllers() == before
+        finally:
+            gc.enable()
+        assert [r.scenario for r in payloads] == cells
 
 
 class TestCache:

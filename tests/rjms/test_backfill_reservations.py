@@ -109,21 +109,15 @@ class TestRegistry:
         assert len(reg.future_caps(0.0)) == 1
         assert len(reg.future_caps(50.0)) == 0
 
-    def test_shutdown_node_mask(self):
+    def test_shutdowns_overlapping(self):
         reg = ReservationRegistry(100)
-        reg.add_shutdown(ShutdownReservation(50.0, 100.0, np.array([3, 4])))
-        mask = reg.shutdown_node_mask(0.0, 60.0)
-        assert mask[3] and mask[4] and mask.sum() == 2
-        assert reg.shutdown_node_mask(100.0, 200.0).sum() == 0
+        sd = ShutdownReservation(50.0, 100.0, np.array([3, 4]))
+        reg.add_shutdown(sd)
+        (hit,) = reg.shutdowns_overlapping(0.0, 60.0)
+        assert hit is sd
+        assert reg.shutdowns_overlapping(100.0, 200.0) == []
 
     def test_unknown_nodes_rejected(self):
         reg = ReservationRegistry(10)
         with pytest.raises(ValueError):
             reg.add_shutdown(ShutdownReservation(0.0, 1.0, np.array([99])))
-
-    def test_boundaries_sorted_unique(self):
-        reg = ReservationRegistry(100)
-        reg.add_powercap(PowercapReservation(10.0, 20.0, watts=5))
-        reg.add_shutdown(ShutdownReservation(10.0, 20.0, np.array([1])))
-        reg.add_powercap(PowercapReservation(5.0, math.inf, watts=7))
-        assert reg.boundaries() == [5.0, 10.0, 20.0]

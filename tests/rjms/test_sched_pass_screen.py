@@ -596,8 +596,8 @@ def test_the_index_matches_a_rebuild_at_every_pass(platform, policy, config):
 
 def test_the_index_is_rebuilt_by_a_lockstep_fork():
     """A cap sweep whose cells fork from one replayed prefix: every
-    sibling's index comes from ``install_fork_state``, which also
-    accepts the ``running_version`` key older captures stored."""
+    sibling's index comes from ``install_fork_state``, which rebuilds
+    it and ignores a stored ``running_version`` meta key."""
     base = _scenario(
         "curie",
         "SHUT",

@@ -7,12 +7,25 @@ replay's trace digest byte for byte.  These tests pin that contract on
 both paths (fork and fallback) and on the golden scenario.
 """
 
+import json
+import warnings
+
+import numpy as np
 import pytest
 
-from repro.exp import CapWindow, Scenario, trace_digest
+from repro.exp import (
+    CapWindow,
+    DirectoryCheckpointStore,
+    Scenario,
+    WarmStart,
+    checkpoint_group,
+    checkpoint_key,
+    trace_digest,
+)
+from repro.exp.checkpoints import CHECKPOINT_SCHEMA, FORK_STATE_CACHE
 from repro.platform import get_platform
 from repro.sim import batch as batch_mod
-from repro.sim.batch import run_replay_batch
+from repro.sim.batch import FORK_STATE_VERSION, run_replay_batch
 from repro.sim.replay import run_replay
 
 HOUR = 3600.0
@@ -33,7 +46,7 @@ GOLDEN_SEED_DIGEST = (
 )
 
 
-def _run_batch(policy, fracs, *, window=(1800.0, 5400.0)):
+def _run_batch(policy, fracs, *, window=(1800.0, 5400.0), warm_start=None):
     base = BASE.with_(policy=policy)
     cells = [
         base.with_(caps=(CapWindow(window[0], window[1], f),)) for f in fracs
@@ -48,6 +61,7 @@ def _run_batch(policy, fracs, *, window=(1800.0, 5400.0)):
         caps_per_cell=[sc.build_caps(machine) for sc in cells],
         config=base.build_config(),
         platform=get_platform(base.platform),
+        warm_start=warm_start,
     )
 
 
@@ -122,3 +136,95 @@ class TestBitIdentity:
             run_replay_batch(
                 machine, jobs, pol, duration=0.0, caps_per_cell=[[]]
             )
+
+
+def _captured(policy, fracs, window):
+    """The fork state a batch captures from its donor."""
+    states = []
+    capture = batch_mod.capture_fork_state
+
+    def keep(donor, fork_t):
+        states.append(capture(donor, fork_t))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch_mod, "capture_fork_state", keep)
+        _run_batch(policy, fracs, window=window)
+    (state,) = states
+    return state
+
+
+class TestForkState:
+    """The captured state: scalar meta, columnar job tables, one
+    install path for the in-process fork and the durable store."""
+
+    def test_directory_store_round_trip_matches_solo(self, tmp_path):
+        store = DirectoryCheckpointStore(tmp_path)
+        fracs = [0.4, 0.6]
+        group = checkpoint_group(BASE.with_(policy="IDLE"))
+        # Cold: the donor captures and publishes (put), its sibling
+        # installs the in-memory state.
+        cold_warm = WarmStart(store, group)
+        cells, cold = _run_batch("IDLE", fracs, warm_start=cold_warm)
+        assert dict(cold_warm.counts) == {
+            "checkpoints.misses": 1,
+            "checkpoints.publishes": 1,
+        }
+        # Warm: every cell installs the state read back from disk (get).
+        FORK_STATE_CACHE.clear()
+        warm_warm = WarmStart(store, group)
+        _, warm = _run_batch("IDLE", fracs, warm_start=warm_warm)
+        assert dict(warm_warm.counts) == {"checkpoints.hits": 1}
+        for sc, c, w in zip(cells, cold, warm):
+            solo = trace_digest(_run_solo(sc).recorder)
+            assert trace_digest(c.recorder) == solo
+            assert trace_digest(w.recorder) == solo
+
+    def test_version_one_store_misses_silently(self, tmp_path):
+        """A checkpoint an older build wrote (job tables in the JSON
+        meta) is a silent miss and stays on disk for that build."""
+        store = DirectoryCheckpointStore(tmp_path)
+        group = checkpoint_group(BASE.with_(policy="IDLE"))
+        key = checkpoint_key(group, 1800.0)
+        meta = {
+            "version": 1,
+            "horizon": (1800.0).hex(),
+            "now": (1800.0).hex(),
+            "jobs": [{"id": 0, "n_nodes": 1, "state": "pending"}],
+            "rec_jobs": [{"id": 0, "cores": 16, "state": "pending"}],
+        }
+        wrapper = {
+            "schema": CHECKPOINT_SCHEMA,
+            "group": group,
+            "horizon": (1800.0).hex(),
+            "meta": meta,
+        }
+        with open(store._path(key, ".npz"), "wb") as fh:
+            np.savez_compressed(fh, job_nodes=np.arange(3, dtype=np.int64))
+        store._path(key).write_text(json.dumps(wrapper), encoding="utf-8")
+        assert FORK_STATE_VERSION == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # silent: no discard warning
+            assert store.get(key) is None
+            assert store.best(group, 9000.0) is None
+        assert store._path(key).is_file()
+        assert store._path(key, ".npz").is_file()
+        assert store.health.discarded == 0
+
+    def test_meta_is_scalars_only(self):
+        """The meta does not grow with the job count: the job tables
+        are array columns."""
+        early = _captured("IDLE", [0.4, 0.6], (1800.0, 5400.0))
+        late = _captured("IDLE", [0.4, 0.6], (5400.0, 6600.0))
+        n_early = len(early["arrays"]["job_id"])
+        n_late = len(late["arrays"]["job_id"])
+        assert n_late > n_early > 0
+        for state in (early, late):
+            meta = state["meta"]
+            assert all(
+                v is None or isinstance(v, (str, int, float, bool))
+                for v in meta.values()
+            )
+            assert len(json.dumps(meta)) < 1024
+        assert len(json.dumps(late["meta"])) - len(json.dumps(early["meta"])) < 16
+        assert early["meta"].keys() == late["meta"].keys()
