@@ -12,10 +12,11 @@ for the engine cases, ``BENCH_pr4.json`` for the backend cases,
 ``BENCH_pr6.json`` for the batched-lockstep cap-sweep cases,
 ``BENCH_pr9.json`` for the multigroup batch-pool pair,
 ``BENCH_pr10.json`` for the transfer data-plane cases,
-``BENCH_pr23.json`` for the per-cell paths of a forked cap sweep; >2x
-regression fails the job).  ``benchmarks/check_data_plane.py``
-additionally holds the shm-vs-pickle transfer ratio and the
-batch-pool-vs-floor ratio.
+``BENCH_pr23.json`` for the per-cell paths of a forked cap sweep,
+``BENCH_pr24.json`` for the ranking and the screened-out pass at the
+day's queue shape; >2x regression fails the job).
+``benchmarks/check_data_plane.py`` additionally holds the
+shm-vs-pickle transfer ratio and the batch-pool-vs-floor ratio.
 """
 
 import math
@@ -102,6 +103,84 @@ def test_perf_queue_priority_order(benchmark):
 
     ids, _, _ = benchmark(q.order, 2e5)
     assert len(ids) == 5000
+
+
+# The day's ranking: the Figure 6 day (1/8 Curie) ranks 1,700 pending
+# jobs on average, from 200 users who all hold usage, and its pass
+# examines the top 100.  Both cases below run ten rankings (passes) per
+# round, which keeps the mean above check_perf_regression.py's 100 us
+# noise floor, below which a case never fails.  BENCH_pr24.json records
+# both.
+
+_DAY_QUEUE = 1700
+_RANKS_PER_ROUND = 10
+
+
+def test_perf_queue_order_top100(benchmark):
+    """Ten top-100 rankings of 1,700 jobs at successive instants, so
+    each also advances the fair-share decay."""
+    machine = curie_machine(scale=0.125)
+    rng = np.random.default_rng(4)
+    fs = FairShare(200)
+    fs.seed_usage(rng.exponential(1e6, 200))
+    q = PendingQueue(machine.total_cores, PriorityWeights(), fs)
+    for jid in range(_DAY_QUEUE):
+        spec = JobSpec(
+            jid,
+            float(rng.uniform(0, 86400)),
+            int(rng.integers(1, 2000)),
+            60.0,
+            86400.0,
+            int(rng.integers(0, 200)),
+        )
+        q.add(Job(spec=spec, n_nodes=machine.nodes_for_cores(spec.cores)))
+    clock = [86400.0]
+
+    def rank():
+        for _ in range(_RANKS_PER_ROUND):
+            clock[0] += 1.0
+            ids, _, _ = q.order(clock[0], limit=100)
+        return ids
+
+    assert len(benchmark(rank)) == 100
+
+
+def test_perf_sched_pass_screened_out(benchmark):
+    """The day's common pass: 1/8 Curie with 600 of 630 nodes busy and
+    1,700 pending jobs, each wider than the 30 idle nodes.  The top job
+    does not fit, and the screen admits no candidate behind it, so the
+    pass ranks, computes the blocker's EASY window and starts nothing."""
+    machine = curie_machine(scale=0.125)
+    engine = SimEngine()
+    controller = Controller(machine, "MIX", engine)
+    rng = np.random.default_rng(5)
+    cpn = machine.cores_per_node
+    for jid in range(60):
+        walltime = 1800.0 * int(rng.integers(3, 48))
+        controller.submit(JobSpec(jid, 0.0, 10 * cpn, walltime, walltime, jid))
+    controller._sched_pass()
+    assert controller.n_running == 60
+    controller.fairshare.seed_usage(rng.exponential(1e6, 200))
+    free = machine.n_nodes - 600
+    for jid in range(60, 60 + _DAY_QUEUE):
+        spec = JobSpec(
+            jid,
+            float(rng.uniform(0, 3600)),
+            int(rng.integers(free + 1, 200)) * cpn,
+            60.0,
+            86400.0,
+            int(rng.integers(0, 200)),
+        )
+        engine.at(spec.submit_time, lambda s=spec: controller.submit(s))
+    engine.run(until=3600.0)
+    assert controller.n_pending == _DAY_QUEUE and controller.n_running == 60
+
+    def passes():
+        for _ in range(_RANKS_PER_ROUND):
+            controller._sched_pass()
+        return controller.n_running
+
+    assert benchmark(passes) == 60
 
 
 def test_perf_small_replay(benchmark):

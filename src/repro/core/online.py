@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection
 
 from repro.cluster.power import PowerAccountant
 from repro.core.policies import Policy
@@ -87,15 +87,18 @@ class PowercapView:
 
     Build one per pass; it pre-computes each future window's projected
     base power, after which every candidate evaluation is
-    O(allowed frequencies).  ``running`` yields one ``(expected_end,
+    O(allowed frequencies).  ``running`` holds one ``(expected_end,
     busy_delta_watts)`` pair per running job, in running order (the
     controller keeps these pairs up to date as jobs start, end and are
-    re-stretched); a window's base adds the delta of every job ending
-    after the window starts, one addition at a time in that order.
-    Windows are only projected when a future cap exists, so without
-    one the view costs O(1).  Call :meth:`note_start` for every job
-    started during the pass so later candidates see the committed
-    power.
+    re-stretched), and is read once per window, so it must be a
+    collection (a list or a dict view), not a one-shot iterator; a
+    window's base adds the delta of every job ending after the window
+    starts, one addition at a time in that order.  Each window's sum
+    is its own chain of additions, so the windows are summed one after
+    another, each in a local.  Windows are only projected when a
+    future cap exists, so without one the view costs O(1).  Call
+    :meth:`note_start` for every job started during the pass so later
+    candidates see the committed power.
     """
 
     def __init__(
@@ -103,7 +106,7 @@ class PowercapView:
         registry: ReservationRegistry,
         accountant: PowerAccountant,
         now: float,
-        running: Iterable[tuple[float, float]],
+        running: Collection[tuple[float, float]],
     ) -> None:
         self.accountant = accountant
         self.now = now
@@ -117,13 +120,11 @@ class PowercapView:
             base = idle_floor
             for sd in registry.shutdowns_overlapping(cap.start, cap.end):
                 base -= sd.savings_from_idle_watts
-            self.windows.append(
-                _WindowConstraint(cap.start, cap.end, cap.watts, base)
-            )
-        for end, delta in running:
-            for w in self.windows:
-                if end > w.start:
-                    w.base += delta
+            start = cap.start
+            for end, delta in running:
+                if end > start:
+                    base += delta
+            self.windows.append(_WindowConstraint(start, cap.end, cap.watts, base))
 
     @property
     def cap_is_active(self) -> bool:

@@ -39,9 +39,12 @@ requesting cell's own divergence onset.
 The ``.npz`` is written first and the JSON second, so the JSON is the
 commit point: a torn pair is either invisible (orphan ``.npz``) or
 discarded loudly on first read and re-published by the next cold run.
-A wrapper-schema or fork-state-version mismatch is *silent* staleness
-(the entry is left for the build that wrote it); anything unreadable
-is corruption — discarded with a warning, tallied in ``health``, and
+A wrapper-schema or fork-state-version mismatch is *silent* staleness.
+An entry a newer build wrote is left for that build; one an older
+build wrote is replaced by this build's next publish of the key
+(``.npz`` first, JSON last, as always), so a version bump costs each
+prefix one cold replay, not one per run.  Anything unreadable is
+corruption — discarded with a warning, tallied in ``health``, and
 healed by the caller's cold start.  Restores are bit-identical by
 construction: the persisted representation *is* the in-memory fork
 representation, installed through the same
@@ -242,8 +245,9 @@ class DirectoryCheckpointStore(_FileLayer, CheckpointStore):
     publishers may share one directory (``dir:PATH``, ``shared:PATH``
     and a bare path all build this class).  An unreadable checkpoint
     is discarded loudly, both halves of the pair together; a schema
-    mismatch is a silent miss.  An existing key is never overwritten:
-    a fork state is a pure function of its key.
+    mismatch is a silent miss.  An existing key is never overwritten —
+    a fork state is a pure function of its key — unless an older build
+    wrote it (:meth:`has`).
     """
 
     shareable = True
@@ -335,7 +339,22 @@ class DirectoryCheckpointStore(_FileLayer, CheckpointStore):
         return key
 
     def has(self, key: str) -> bool:
-        return self._path(key).is_file()
+        """Whether ``key`` holds an entry a publish must leave alone:
+        one of this build's layout or a newer one, or an unreadable one
+        (:meth:`get` discards that).  An entry an older build wrote does
+        not count, so :meth:`put` replaces it."""
+        jpath = self._path(key)
+        if not jpath.is_file():
+            return False
+        try:
+            wrapper = json.loads(jpath.read_text(encoding="utf-8"))
+            older = (wrapper["schema"], wrapper["meta"]["version"]) < (
+                CHECKPOINT_SCHEMA,
+                FORK_STATE_VERSION,
+            )
+        except (OSError, ValueError, KeyError, TypeError):
+            return True
+        return not older
 
     def _peek_horizon(self, key: str) -> float | None:
         """The stored horizon, from the JSON wrapper only (no arrays)."""
@@ -371,10 +390,12 @@ class WarmStart:
 
     ``load`` serves the deepest stored horizon not exceeding the
     batch's own fork time; ``publish`` persists a freshly captured
-    prefix (skipping the write when the exact key already exists —
-    checkpoint content is a pure function of its key, so the stored
-    bytes are already identical).  Every probe and publish is counted
-    into ``counts`` as ``checkpoints.hits``, ``checkpoints.misses`` or
+    prefix (skipping the write when the store already has the exact
+    key — checkpoint content is a pure function of its key, so the
+    stored bytes are already identical; an older build's entry under
+    the key does not count, see :meth:`DirectoryCheckpointStore.has`).
+    Every probe and publish is counted into ``counts`` as
+    ``checkpoints.hits``, ``checkpoints.misses`` or
     ``checkpoints.publishes``.
     """
 

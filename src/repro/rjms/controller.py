@@ -117,22 +117,26 @@ class _PassAllocator:
     other jobs consume reserved nodes first, leaving clear capacity
     for window-crossing jobs.  Node ids are consumed in ascending
     order inside each segment, which packs enclosures naturally.
+
+    ``reserved_mask`` None means no node is reserved: every free node
+    is clear, with no mask to read.
     """
 
-    def __init__(self, free_ids: np.ndarray, reserved_mask: np.ndarray) -> None:
-        in_res = reserved_mask[free_ids]
-        self._reserved = free_ids[in_res]
-        self._clear = free_ids[~in_res]
+    def __init__(
+        self, free_ids: np.ndarray, reserved_mask: np.ndarray | None
+    ) -> None:
+        if reserved_mask is None:
+            self._reserved = free_ids[:0]
+            self._clear = free_ids
+        else:
+            in_res = reserved_mask[free_ids]
+            self._reserved = free_ids[in_res]
+            self._clear = free_ids[~in_res]
         self._p_res = 0
         self._p_clear = 0
-
-    @property
-    def free_total(self) -> int:
-        return (len(self._reserved) - self._p_res) + (len(self._clear) - self._p_clear)
-
-    @property
-    def free_clear(self) -> int:
-        return len(self._clear) - self._p_clear
+        #: free nodes left in all, and in the clear segment
+        self.free_clear = len(self._clear)
+        self.free_total = len(self._reserved) + self.free_clear
 
     def take(self, n: int, *, clear_only: bool) -> np.ndarray | None:
         """Consume ``n`` nodes, or return None without consuming."""
@@ -141,6 +145,8 @@ class _PassAllocator:
                 return None
             out = self._clear[self._p_clear : self._p_clear + n]
             self._p_clear += n
+            self.free_clear -= n
+            self.free_total -= n
             return out
         if self.free_total < n:
             return None
@@ -153,6 +159,8 @@ class _PassAllocator:
         if n_clear:
             parts.append(self._clear[self._p_clear : self._p_clear + n_clear])
             self._p_clear += n_clear
+            self.free_clear -= n_clear
+        self.free_total -= n
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -498,7 +506,7 @@ class Controller:
         """Idle node ids, rescanned only when the accountant changed."""
         acct = self.accountant
         if self._free_version != acct.version:
-            self._free_ids = np.flatnonzero(acct.state == _IDLE)
+            self._free_ids = (acct.state == _IDLE).nonzero()[0]
             self._free_version = acct.version
         return self._free_ids
 
@@ -603,7 +611,9 @@ class Controller:
                 self.fairshare.decay_to(now)
                 return
         pending_sds = self._pending_shutdowns(now)
-        alloc = _PassAllocator(free_ids, self._reserved_mask)
+        # With no pending shutdown no node is reserved, and every free
+        # node is clear.
+        alloc = _PassAllocator(free_ids, self._reserved_mask if pending_sds else None)
         ids, widths, walltimes = self.queue.order(
             now, limit=self.config.backfill_depth
         )
@@ -613,10 +623,12 @@ class Controller:
         # ends before every pending shutdown starts.  `ends` is a floor
         # on each expected end, as no degradation factor is below 1, so
         # a candidate failing a bound is one _try_start would reject
-        # without side effects.
+        # without side effects.  Bound (c) is implied by (a) when no
+        # shutdown is pending (`free_clear == free_total`), and is then
+        # not computed (`clear_of_shutdowns` None).
         ends = now + walltimes
-        clear_of_shutdowns = ends <= min(
-            (sd.start for sd in pending_sds), default=math.inf
+        clear_of_shutdowns = (
+            ends <= min(sd.start for sd in pending_sds) if pending_sds else None
         )
         view: PowercapView | None = None
 
@@ -640,7 +652,9 @@ class Controller:
         pos = 0
         while pos < len(ids):
             fits = widths[pos] <= alloc.free_total and (
-                clear_of_shutdowns[pos] or widths[pos] <= alloc.free_clear
+                clear_of_shutdowns is None
+                or clear_of_shutdowns[pos]
+                or widths[pos] <= alloc.free_clear
             )
             if not (fits and try_start(pos, None)):
                 break
@@ -661,14 +675,13 @@ class Controller:
         # recomputed only after a start.
         pos += 1
         while pos < len(ids):
-            could_start = (
-                in_window
-                & (widths <= alloc.free_total)
-                & (clear_of_shutdowns | (widths <= alloc.free_clear))
-            )
-            for p in (pos + np.flatnonzero(could_start[pos:])).tolist():
-                if try_start(p, window):
-                    pos = p + 1
+            could_start = in_window & (widths <= alloc.free_total)
+            if clear_of_shutdowns is not None:
+                could_start &= clear_of_shutdowns | (widths <= alloc.free_clear)
+            first = pos
+            for p in could_start[first:].nonzero()[0].tolist():
+                if try_start(first + p, window):
+                    pos = first + p + 1
                     break
             else:
                 return

@@ -6,6 +6,14 @@ formula: each user's factor is ``2^(-U/S)`` where ``U`` is the user's
 share of the (exponentially decayed) consumed core-seconds and ``S``
 the user's share of the configured shares (equal here).  Usage decays
 with a configurable half-life, applied lazily.
+
+The decay multiplies the usage vector whenever time advances, with no
+test for an all-zero vector first: usage is never negative, and a zero
+times a factor in (0, 1] stays the same zero, so such a test could
+only ever save time, never change a bit.  Nor may it be replaced by a
+cached "has usage" flag: a fork install writes the usage vector
+directly (``np.copyto``), which a flag kept by :meth:`record_usage`
+would not see, so every forked replay would skip its decay.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ class FairShare:
     def _decay_to(self, t: float) -> None:
         if t < self._last_decay:
             raise ValueError("time went backwards")
-        if t > self._last_decay and self._usage.any():
+        if t > self._last_decay:
             self._usage *= 0.5 ** ((t - self._last_decay) / self.half_life)
         self._last_decay = t
 
@@ -67,17 +75,21 @@ class FairShare:
         self._usage = usage.copy()
 
     def factors(self, t: float) -> np.ndarray:
-        """Fair-share factor per user in [0, 1] at time ``t``.
+        """Fair-share factor per user in [0, 1] at time ``t``, as a new
+        array the caller may modify.
 
-        1.0 for an unused system; heavy users decay toward 0.
+        1.0 for an unused system; heavy users decay toward 0.  The
+        exponent ``(U / total) / -(1 / n_users)`` is computed in one
+        buffer; it equals ``-(U / total) / (1 / n_users)`` bit for bit,
+        as IEEE division is sign-symmetric.
         """
         self._decay_to(t)
-        total = self._usage.sum()
+        total = np.add.reduce(self._usage)
         if total <= 0:
             return np.ones(self.n_users, dtype=np.float64)
-        norm_usage = self._usage / total
-        norm_shares = 1.0 / self.n_users
-        return np.power(2.0, -norm_usage / norm_shares)
+        x = self._usage / total
+        x /= -(1.0 / self.n_users)
+        return np.power(2.0, x, out=x)
 
     def factor(self, user: int, t: float) -> float:
         if not 0 <= user < self.n_users:

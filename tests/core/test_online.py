@@ -194,6 +194,39 @@ class TestFutureWindows:
         assert d.ok and d.freq_ghz == 2.7 and not d.soft
 
 
+    def test_window_bases_add_in_running_order(self, machine):
+        """Each window's base adds the deltas of the jobs ending after
+        it starts one at a time, in running order.  The deltas here are
+        not exactly summable, so another order gives other bits."""
+        acct = machine.new_accountant()
+        caps = [
+            PowercapReservation(2 * HOUR, 3 * HOUR, 5e4),
+            PowercapReservation(5 * HOUR, 6 * HOUR, 5e4),
+        ]
+        rows = [
+            (10 * HOUR, 1e16),
+            (4 * HOUR, 0.1),
+            (10 * HOUR, 3.3),
+            (10 * HOUR, -1e16),
+            (HOUR, 7.0),
+            (6 * HOUR, 0.7),
+        ]
+        reg = ReservationRegistry(machine.n_nodes)
+        for cap in caps:
+            reg.add_powercap(cap)
+        view = PowercapView(reg, acct, 0.0, rows)
+        expected = []
+        for cap in caps:
+            base = acct.idle_floor()
+            for end, delta in rows:
+                if end > cap.start:
+                    base += delta
+            expected.append(base)
+        assert [w.base for w in view.windows] == expected
+        reverse = PowercapView(reg, acct, 0.0, rows[::-1])
+        assert [w.base for w in reverse.windows] != expected
+
+
 class TestMixRange:
     def test_mix_never_below_two_ghz(self, machine):
         acct = machine.new_accountant()

@@ -21,7 +21,7 @@ from repro.exp import (
     make_backend,
     make_checkpoint_store,
 )
-from repro.exp.checkpoints import CHECKPOINT_SCHEMA, horizon_tag
+from repro.exp.checkpoints import CHECKPOINT_SCHEMA, FORK_STATE_CACHE, horizon_tag
 from repro.sim.batch import FORK_STATE_VERSION
 
 HOUR = 3600.0
@@ -140,6 +140,17 @@ class TestStorePlumbing:
         assert warm.counts["checkpoints.misses"] == 1
 
 
+def _rewrite(store, key, field, value):
+    """Set the stored entry's wrapper ``schema`` or fork-state
+    ``version`` to ``value``, as another build would have written it."""
+    wrapper = json.loads(store._path(key).read_text(encoding="utf-8"))
+    if field == "schema":
+        wrapper["schema"] = value
+    else:
+        wrapper["meta"]["version"] = value
+    store._path(key).write_text(json.dumps(wrapper), encoding="utf-8")
+
+
 class TestSchemaAndCorruption:
     def _seeded(self, tmp_path):
         store = DirectoryCheckpointStore(tmp_path)
@@ -168,6 +179,28 @@ class TestSchemaAndCorruption:
             warnings.simplefilter("error")
             assert store.get(key) is None
         assert store._path(key).is_file()
+
+    @pytest.mark.parametrize(
+        "field, older", [("schema", CHECKPOINT_SCHEMA - 1), ("version", FORK_STATE_VERSION - 1)]
+    )
+    def test_put_replaces_an_older_builds_entry(self, tmp_path, field, older):
+        store, key = self._seeded(tmp_path)
+        _rewrite(store, key, field, older)
+        assert not store.has(key)
+        assert store.put(checkpoint_group(TINY), 1800.0, fake_state(1800.0, 2)) == key
+        assert store.has(key)
+        assert store.get(key)["arrays"]["a"].tolist() == [0, 2, 4]
+
+    @pytest.mark.parametrize(
+        "field, newer", [("schema", CHECKPOINT_SCHEMA + 1), ("version", FORK_STATE_VERSION + 1)]
+    )
+    def test_put_leaves_a_newer_builds_entry(self, tmp_path, field, newer):
+        store, key = self._seeded(tmp_path)
+        _rewrite(store, key, field, newer)
+        before = store._path(key).read_bytes()
+        assert store.has(key)
+        store.put(checkpoint_group(TINY), 1800.0, fake_state(1800.0, 2))
+        assert store._path(key).read_bytes() == before
 
     def test_truncated_json_discards_both_files(self, tmp_path):
         store, key = self._seeded(tmp_path)
@@ -391,6 +424,37 @@ class TestWarmStartBitIdentity:
         assert rep.checkpoints["publishes"] == 1
         assert store2.health.discarded == 1
         assert DirectoryCheckpointStore(tmp_path / "ck").keys() == [key]
+
+    @pytest.mark.parametrize(
+        "field, older", [("schema", CHECKPOINT_SCHEMA - 1), ("version", FORK_STATE_VERSION - 1)]
+    )
+    def test_an_older_builds_checkpoint_is_replaced(self, tmp_path, field, older):
+        """An entry an older build wrote misses once: that run publishes
+        over it, and the next run restores the prefix."""
+        scenarios = cap_sweep()
+        baseline = self._baseline(scenarios)
+
+        def sweep():
+            FORK_STATE_CACHE.clear()  # as in a fresh process
+            return GridRunner(
+                backend=make_backend("batch"),
+                store=MemoryStore(),
+                checkpoints=DirectoryCheckpointStore(tmp_path / "ck"),
+            ).sweep(scenarios)
+
+        cold = sweep()
+        assert cold.checkpoints == {"hits": 0, "misses": 1, "publishes": 1}
+        ck = DirectoryCheckpointStore(tmp_path / "ck")
+        [key] = ck.keys()
+        _rewrite(ck, key, field, older)
+        replaced, warm = sweep(), sweep()
+        assert replaced.checkpoints == {"hits": 0, "misses": 1, "publishes": 1}
+        assert warm.checkpoints == {"hits": 1, "misses": 0, "publishes": 0}
+        wrapper = json.loads(ck._path(key).read_text(encoding="utf-8"))
+        assert wrapper["schema"] == CHECKPOINT_SCHEMA
+        assert wrapper["meta"]["version"] == FORK_STATE_VERSION
+        for rep in (cold, replaced, warm):
+            assert [r.trace_digest for r in rep.results] == baseline
 
     def test_stale_schema_checkpoint_forces_cold_run(self, tmp_path):
         scenarios = cap_sweep()

@@ -254,6 +254,47 @@ def test_the_gate_skips_passes_under_a_tight_cap():
     assert sum(gated) > 100
 
 
+# -- the pass allocator ------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_nodes=st.integers(min_value=1, max_value=40),
+    data=st.data(),
+)
+def test_allocator_counters_track_the_segments(n_nodes, data):
+    """``free_total`` and ``free_clear`` are counters kept by ``take``;
+    they must equal the nodes left in the segments after any takes.
+    Without a mask the allocator is the one an all-clear mask builds."""
+    free = np.array(
+        sorted(data.draw(st.sets(st.integers(0, n_nodes - 1), min_size=0))),
+        dtype=np.int64,
+    )
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n_nodes, max_size=n_nodes)))
+    takes = data.draw(
+        st.lists(st.tuples(st.integers(1, 12), st.booleans()), max_size=8)
+    )
+    allocs = [
+        (_PassAllocator(free, mask), free[mask[free]], free[~mask[free]]),
+        (_PassAllocator(free, None), free[:0], free),
+        (_PassAllocator(free, np.zeros(n_nodes, dtype=bool)), free[:0], free),
+    ]
+    taken = []
+    for alloc, reserved, clear in allocs:
+        taken.append([])
+        for n, clear_only in takes:
+            nodes = alloc.take(n, clear_only=clear_only)
+            taken[-1].append(None if nodes is None else nodes.tolist())
+            assert nodes is None or len(nodes) == n
+            left_res = len(reserved) - alloc._p_res
+            left_clear = len(clear) - alloc._p_clear
+            assert alloc.free_clear == left_clear
+            assert alloc.free_total == left_res + left_clear
+        flat = [node for nodes in taken[-1] if nodes is not None for node in nodes]
+        assert len(set(flat)) == len(flat) and set(flat) <= set(free.tolist())
+    assert taken[1] == taken[2]
+
+
 # -- the bounds' edges -------------------------------------------------------------------
 #
 # One-rack Curie (90 nodes of 16 cores), FCFS priorities, policy NONE

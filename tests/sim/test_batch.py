@@ -182,7 +182,8 @@ class TestForkState:
 
     def test_version_one_store_misses_silently(self, tmp_path):
         """A checkpoint an older build wrote (job tables in the JSON
-        meta) is a silent miss and stays on disk for that build."""
+        meta) is a silent miss; it stays on disk only until this build
+        publishes the key."""
         store = DirectoryCheckpointStore(tmp_path)
         group = checkpoint_group(BASE.with_(policy="IDLE"))
         key = checkpoint_key(group, 1800.0)
